@@ -90,7 +90,7 @@ def attention_weights(x2d: Tensor, q: LinearP, k: LinearP, table: Tensor,
     logits = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), scale)
     logits = add(logits, rel_pos_bias(table, grid.win))
     if shift:
-        mask = shift_mask(grid)
+        mask = shift_mask(grid, logits.dtype)
         logits = add(logits, reshape(mask, (mask.shape[0], 1, grid.tokens_per_window,
                                             grid.tokens_per_window)))
     return softmax_lastdim(logits)

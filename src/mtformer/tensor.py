@@ -3,8 +3,11 @@
 Ops executed while a Tape is active append one record each (output tensor,
 parent tensors, backward closure).  Records are appended in execution
 order, so walking them in reverse is a valid topological order and visits
-every recorded op exactly once.  Gradients accumulate additively into
-``.grad``; call :func:`zero_grad` between optimizer steps.
+every recorded op exactly once.  Backward frees each gradient once its
+record has consumed it and writes ``.grad`` only to leaves (tensors no
+record produced, such as parameters) and to the loss; intermediate tensors
+keep ``.grad is None``.  Gradients accumulate additively into ``.grad``;
+call :func:`zero_grad` between optimizer steps.
 
 Everything here is single threaded.  Tensors are treated as immutable once
 created; the finite-difference checker perturbs its probe tensor in place,
@@ -53,34 +56,35 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss: "Tensor") -> int:
-        """Reverse replay from ``loss``; returns the number of records visited."""
+        """Reverse replay from ``loss``; returns the number of records visited.
+
+        Each output's gradient is dropped as soon as its record has consumed
+        it, so only the frontier of the sweep stays alive.  What remains at
+        the end belongs to tensors no record on this tape produced (the
+        leaves); those, and ``loss`` with its seed of ones, accumulate into
+        ``.grad``.  Intermediate tensors' ``.grad`` is never written.
+        """
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
             raise ValueError("loss does not depend on any tensor that requires grad")
-        grads = {id(loss): np.ones_like(loss.data)}
-        holders = {id(loss): loss}
-        visited = 0
+        seed = np.ones_like(loss.data)
+        grads = {id(loss): (loss, seed)}
         for out, parents, backward in reversed(self._records):
-            visited += 1
-            g = grads.get(id(out))
-            if g is None:
+            entry = grads.pop(id(out), None)
+            if entry is None:
                 continue  # op does not feed this loss
-            for parent, pg in zip(parents, backward(g)):
+            for parent, pg in zip(parents, backward(entry[1])):
                 if pg is None or not parent.requires_grad:
                     continue
-                key = id(parent)
-                if key in grads:
-                    # never mutate a stored array in place; closures may alias them
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
-                    holders[key] = parent
-        for key, tensor in holders.items():
-            g = grads[key]
+                prev = grads.get(id(parent))
+                # never mutate a stored array in place; closures may alias them
+                grads[id(parent)] = (parent, pg if prev is None else prev[1] + pg)
+        grads[id(loss)] = (loss, seed)  # popped above if an op produced the loss
+        for tensor, g in grads.values():
             tensor.grad = g.astype(tensor.data.dtype, copy=True) if tensor.grad is None \
                 else tensor.grad + g
-        return visited
+        return len(self._records)
 
 
 class Tensor:

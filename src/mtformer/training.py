@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,13 +201,28 @@ def evaluate(model_or_ckpt, data) -> dict:
 
 # -------------------------------------------------------------- checkpoints
 
+@contextmanager
+def _replace_on_success(path):
+    """Yield a binary file at ``<path>.tmp`` and rename it over ``path`` once
+    the block succeeds; on failure remove it, so ``path`` is never torn."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, model: Model, opt: OptimState | None,
                     step: int, budget: str = "") -> None:
     dt = next(iter(model.flat.values())).data.dtype
     code = _DTYPE_CODES[np.dtype(dt)]
     cfg_text = cfgmod.to_text(model.cfg).encode()
     budget_b = budget.encode()
-    with open(path, "wb") as f:
+    with _replace_on_success(path) as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<IIQ", CKPT_VERSION, code, step))
         f.write(struct.pack("<I", len(cfg_text)) + cfg_text)

@@ -86,7 +86,7 @@ def _partition_array(arr: np.ndarray, win: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mask_array(h: int, w: int, win: int, shift: int):
+def _mask_array(h: int, w: int, win: int, shift: int, dtype: np.dtype):
     # label contiguous pre-shift regions; pairs with different labels may not attend
     labels = np.zeros((h, w))
     spans = (slice(0, -win), slice(-win, -shift), slice(-shift, None))
@@ -97,17 +97,18 @@ def _mask_array(h: int, w: int, win: int, shift: int):
             region += 1
     windowed = _partition_array(labels, win)
     diff = windowed[:, :, None] - windowed[:, None, :]
-    mask = np.where(diff != 0, MASK_VALUE, 0.0)
+    mask = np.where(diff != 0, MASK_VALUE, 0.0).astype(dtype)
     mask.flags.writeable = False
     return mask
 
 
-def shift_mask(grid: WindowGrid) -> Tensor:
+def shift_mask(grid: WindowGrid, dtype=np.float64) -> Tensor:
     """Additive attention mask [num_windows, T, T]; 0 allowed, -1e9 masked.
 
+    Built in ``dtype`` so that adding it to the logits does not promote them.
     With shift 0 the mask is identically zero.
     """
-    return Tensor(_mask_array(grid.h, grid.w, grid.win, grid.shift))
+    return Tensor(_mask_array(grid.h, grid.w, grid.win, grid.shift, np.dtype(dtype)))
 
 
 @lru_cache(maxsize=None)

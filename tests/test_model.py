@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mtformer import config
+from mtformer.losses import combine_losses, default_specs, per_task_loss
 from mtformer.model import INIT_STD, Model, forward, init_params
-from mtformer.tensor import Tensor
+from mtformer.synthetic import generate_sample
+from mtformer.tensor import Tape, Tensor
 
 RNG = np.random.default_rng(31)
 
@@ -90,6 +92,20 @@ def test_init_dtype_control():
     assert all(t.data.dtype == np.float32 for t in m32.flat.values())
     m64 = init_params(cfg, seed=0)
     assert all(t.data.dtype == np.float64 for t in m64.flat.values())
+
+
+def test_float32_model_computes_in_float32():
+    # a float64 constant such as the shift mask would promote every op after it
+    cfg = config.preset("desk-nano")
+    m = init_params(cfg, seed=0, dtype=np.float32)
+    sample = generate_sample(0, cfg.img_size)
+    with Tape() as tape:
+        preds = forward(m, Tensor(np.asarray(sample.rgb, dtype=np.float32)))
+        losses = {t: per_task_loss(t, preds[t], sample.target(t)) for t in cfg.tasks}
+        total, _ = combine_losses(losses, default_specs(cfg.tasks))
+        tape.backward(total)
+    assert {out.dtype for out, _, _ in tape._records} == {np.dtype(np.float32)}
+    assert all(p.dtype == np.float32 for p in preds.values())
 
 
 def test_forward_output_contract():

@@ -1,6 +1,7 @@
 """Tests for the autodiff core: op values, gradients, tape semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,38 @@ def test_scalar_loss_grad_is_one():
         y = T.sum_(T.mul(x, x))
         tape.backward(y)
     assert y.grad == np.ones(1)
+
+
+def test_backward_writes_grad_to_leaves_and_loss_only():
+    rng = np.random.default_rng(13)
+    x = _rand(rng, 3, 4)
+    w = _rand(rng, 4, 2)
+    with Tape() as tape:
+        h = T.matmul(x, w)
+        a = T.gelu(h)
+        loss = T.sum_(T.mul(a, a))
+        tape.backward(loss)
+    assert x.grad is not None and w.grad is not None
+    assert loss.grad == np.ones(1)
+    assert all(out.grad is None for out, _, _ in tape._records if out is not loss)
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_backward_peak_memory_does_not_grow_with_chain_length(n):
+    # each consumed gradient is freed, so the sweep holds O(1) arrays, not O(n)
+    x = Tensor(np.linspace(-1.0, 1.0, 1 << 16), requires_grad=True)
+    with Tape() as tape:
+        y = x
+        for i in range(n):
+            y = T.mul(y, 0.99) if i % 2 else T.sigmoid(y)
+        loss = T.sum_(y)
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * x.data.nbytes
 
 
 # ---------------------------------------------------------------- dtype handling

@@ -141,6 +141,51 @@ def test_checkpoint_float32_roundtrip(tmp_path):
         np.testing.assert_array_equal(t.data, loaded.flat[name].data)
 
 
+class _FailingFile:
+    """Writes through to ``f`` until ``budget`` bytes are spent, then raises."""
+
+    def __init__(self, f, budget):
+        self.f, self.budget = f, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+        return False
+
+    def write(self, b):
+        if len(b) > self.budget:
+            self.f.write(b[:self.budget])
+            raise OSError("simulated failure halfway through the write")
+        self.budget -= len(b)
+        return self.f.write(b)
+
+
+def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    from mtformer import training
+    from mtformer.model import init_params
+    path = tmp_path / "run.mtck"
+    old = init_params(tiny_cfg(), seed=1)
+    save_checkpoint(path, old, None, 1, "old")
+    before = path.read_bytes()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return _FailingFile(open(file, mode, *args, **kwargs), len(before) // 2)
+
+    monkeypatch.setattr(training, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="halfway"):
+        save_checkpoint(path, init_params(tiny_cfg(), seed=2), None, 2, "new")
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.mtck"]
+    assert path.read_bytes() == before
+    loaded, _, step, budget = load_checkpoint(path)
+    assert (step, budget) == (1, "old")
+    for name, p in old.flat.items():
+        assert loaded.flat[name].data.tobytes() == p.data.tobytes()
+
+
 def _valid_ckpt_bytes(tmp_path):
     from mtformer.model import init_params
     model = init_params(tiny_cfg(tasks=("S",)), seed=0)
