@@ -26,13 +26,14 @@ cfg = ArchConfig(img_size=64, patch_size=4, base_channels=8,
 
 # 1. one attention pattern: clone D's private parameters into K and E and
 # the three outputs collapse onto each other
+# (decoder tensors hold one slice per task along their leading axis)
 model = init_params(cfg, seed=0)
 for name, p in model.flat.items():
     for clone in ("K", "E"):
-        for prefix in ("decoder.", "head."):
-            if name.startswith(f"{prefix}{clone}."):
-                source = name.replace(f"{prefix}{clone}.", f"{prefix}D.", 1)
-                p.data = model.flat[source].data.copy()
+        if name in model.stacked:
+            p.data[cfg.tasks.index(clone)] = p.data[cfg.tasks.index("D")]
+        elif name.startswith(f"head.{clone}."):
+            p.data = model.flat[name.replace(f"head.{clone}.", "head.D.", 1)].data.copy()
 img = Tensor(np.random.default_rng(1).uniform(size=(64, 64, 3)))
 preds = forward(model, img)
 print("cloned streams agree:",
@@ -47,8 +48,11 @@ print("cloned streams agree:",
 # shifted 2x2 window whose one-hot attention passes nothing
 
 
-def reach(params):
-    return max(0.0 if p.grad is None else np.abs(p.grad).max() for p in params)
+def reach(params, task=None):
+    """Largest |grad| over ``params``, or over one task's slice of each."""
+    k = None if task is None else cfg.tasks.index(task)
+    return max(0.0 if p.grad is None else np.abs(p.grad if k is None else p.grad[k]).max()
+               for p in params)
 
 
 data = [generate_sample(s, 64) for s in range(4)]
@@ -62,7 +66,7 @@ for task in cfg.tasks:
     with Tape() as tape:
         tape.backward(per_task_loss(task, forward(model, img)[task],
                                     sample.target(task)))
-    per_stage = [reach([cross.q.w]) for cross in model.decoder.cross]
+    per_stage = [reach([stage.shared.q.w]) for stage in model.decoder.stages]
     print(f"loss of task {task} reaches the shared q: |grad| up to "
           f"{max(per_stage):.2e} (deep to shallow: "
           + " ".join(f"{g:.1e}" for g in per_stage) + ")")
@@ -73,8 +77,8 @@ solo = train(replace(cfg, shared_attention=False), data, options).model
 zero_grad(solo.flat.values())
 with Tape() as tape:
     tape.backward(per_task_loss("K", forward(solo, img)["K"], sample.target("K")))
-own = reach(s.block2.q.w for s in solo.decoder.tasks["K"].stages)
-other = reach(s.block2.q.w for s in solo.decoder.tasks["D"].stages)
+own = reach((s.block2.q.w for s in solo.decoder.stages), "K")
+other = reach((s.block2.q.w for s in solo.decoder.stages), "D")
 print(f"unshared: K's loss on its own q {own:.2e}, on D's q {other:.2e}")
 
 # 3. sharing removes per-task q/k/table weight, so more tasks save more

@@ -11,8 +11,8 @@ import numpy as np
 
 from mtformer.layers import LinearP, attention_weights
 from mtformer.tensor import Tensor
-from mtformer.windowing import (WindowGrid, shift_mask, window_partition,
-                                window_reverse)
+from mtformer.windowing import (WindowGrid, cyclic_shift, shift_mask,
+                                window_partition, window_reverse)
 
 rng = np.random.default_rng(7)
 
@@ -37,7 +37,8 @@ c, heads = 4, 2
 q = LinearP(Tensor(rng.normal(size=(c, c))), Tensor(np.zeros(c)))
 k = LinearP(Tensor(rng.normal(size=(c, c))), Tensor(np.zeros(c)))
 table = Tensor(rng.normal(size=(9, heads)))
-probs = attention_weights(Tensor(rng.normal(size=(4, 4, c))), q, k, table,
+rolled = cyclic_shift(Tensor(rng.normal(size=(4, 4, c))), grid.shift)
+probs = attention_weights(window_partition(rolled, grid.win), q, k, table,
                           grid, shift=1).data
 blocked = np.broadcast_to((mask != 0)[:, None], probs.shape)
 print(f"\nmax probability on a blocked pair: {probs[blocked].max():.2e}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .config import TASKS, ArchConfig, count_parameters, preset, replace
 from .errors import ConfigurationError
+from .files import replace_on_success
 from .losses import relative_performance
 from .training import RunOptions, _load_samples, train
 
@@ -132,9 +133,8 @@ def ablate(cfg: ArchConfig, data, options: RunOptions, subsets=None,
 
 def write_report(rows, path) -> None:
     """One JSON object per line, fields in REPORT_FIELDS order."""
-    with open(path, "w") as f:
-        for row in rows:
-            f.write(json.dumps(row.to_record()) + "\n")
+    with replace_on_success(path) as f:
+        f.write("".join(json.dumps(row.to_record()) + "\n" for row in rows).encode())
 
 
 def shared_comparison(rows, subset=None) -> dict:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigurationError
+from .files import replace_on_success
 
 TASKS = ("S", "D", "N", "K", "E", "R")
 
@@ -281,7 +282,8 @@ def from_text(text: str) -> ArchConfig:
 
 
 def save(cfg: ArchConfig, path) -> None:
-    Path(path).write_text(to_text(cfg))
+    with replace_on_success(path) as f:
+        f.write(to_text(cfg).encode())
 
 
 def load(path) -> ArchConfig:

@@ -1,12 +1,15 @@
 """Mirrored per-task decoders coupled by shared cross-task attention.
 
-Each task runs its own four stage decoder over the encoder pyramid, deepest
-skip first.  A stage fuses the skip additively, runs a per-task
-self-attention block on regular windows, then a shared-attention block on
-shifted windows: the attention probabilities are computed once from the
-skip feature using the reference task's query/key projections and applied
-to every task's values.  Three patch expansions restore the grid to 1/4
-resolution; task heads upsample twice more and map to task channels.
+Every task runs its own four stage decoder over the encoder pyramid, deepest
+skip first.  The K = len(cfg.tasks) decoders run as one stacked stream: token
+maps are [K, N, C] and every task-owned parameter carries a leading task
+axis, slice k belonging to ``cfg.tasks[k]``.  A stage fuses the skip
+additively, runs a self-attention block on regular windows, then a
+shared-attention block on shifted windows: the attention probabilities are
+computed once from the skip feature using the reference task's query/key
+projections (one unstacked bundle) and applied to every task's values.
+Three patch expansions restore the grid to 1/4 resolution; per-task heads
+upsample twice more and map to task channels.
 """
 
 from __future__ import annotations
@@ -16,10 +19,20 @@ from dataclasses import dataclass
 from .config import ArchConfig, decoder_channels, task_channels
 from .errors import ConfigurationError, DimensionError
 from .layers import (BlockP, LinearP, NormP, apply_attention, attention_block,
-                     attention_weights, linear, mlp, norm)
+                     attention_weights, linear, mlp, norm, shifted_windows)
 from .tensor import (Tensor, add, div, matmul, mul, reshape, sigmoid,
-                     softmax_lastdim, sqrt, sum_, transpose)
+                     softmax_lastdim, sqrt, sum_, swapaxes)
 from .windowing import WindowGrid
+
+
+@dataclass
+class SharedP:
+    """The reference task's query/key projections and bias table of one
+    shared-attention stage; no task axis, every stream uses them."""
+
+    q: LinearP
+    k: LinearP
+    table: Tensor
 
 
 @dataclass
@@ -35,44 +48,18 @@ class Block2P:
 
 
 @dataclass
-class CrossP:
-    """Reference-owned projections of one shared-attention stage."""
-
-    q: LinearP
-    k: LinearP
-    table: Tensor
-
-
-@dataclass
-class SharedAttentionP:
-    """Everything one shared-attention application needs: the reference q/k
-    plus each participating task's value and output projections."""
-
-    q: LinearP
-    k: LinearP
-    table: Tensor
-    v: dict
-    out: dict
-
-
-@dataclass
-class TaskStageP:
+class StageP:
     fuse: LinearP
     block1: BlockP
     block2: object  # Block2P when sharing, full BlockP otherwise
-
-
-@dataclass
-class TaskDecoderP:
-    init: LinearP
-    stages: list
-    expands: list  # three bias-free [C, 2C] matrices
+    shared: SharedP | None  # set exactly when sharing
+    expand: Tensor | None  # bias-free [K, C, 2C]; None after the last stage
 
 
 @dataclass
 class DecoderParams:
-    tasks: dict  # task id -> TaskDecoderP
-    cross: list  # four CrossP when sharing, else empty
+    init: LinearP
+    stages: list  # four StageP
 
 
 @dataclass
@@ -82,98 +69,65 @@ class HeadP:
     out: LinearP
 
 
-@dataclass
-class DecoderStageState:
-    """Per-task token maps plus the encoder skip feeding this stage."""
-
-    xs: dict
-    skip: Tensor
-
-
 def patch_expand(x: Tensor, side: int, w: Tensor) -> Tensor:
-    """Double the grid side and halve the channels.
+    """Double the grid side and halve the channels of tokens [..., N, C].
 
     Bias-free projection C -> 2C, then each token's 2C channels fill its
     2x2 output block row major: chunk 0 -> (0,0), 1 -> (0,1), 2 -> (1,0),
     3 -> (1,1), each chunk C/2 wide.  Exact inverse layout of patch_merge.
     """
-    n, c = x.shape
+    *lead, n, c = x.shape
     if n != side * side:
         raise DimensionError(f"{n} tokens do not fill grid {side}x{side}")
-    if w.shape != (c, 2 * c):
+    if w.shape[-2:] != (c, 2 * c):
         raise DimensionError(f"patch_expand weight {w.shape} must be ({c}, {2 * c})")
-    t = matmul(x, w)
-    t = reshape(t, (side, side, 2, 2, c // 2))
-    t = transpose(t, (0, 2, 1, 3, 4))
-    return reshape(t, (4 * n, c // 2))
+    lead = tuple(lead)
+    t = reshape(matmul(x, w), lead + (side, side, 2, 2, c // 2))
+    return reshape(swapaxes(t, -4, -3), lead + (4 * n, c // 2))
 
 
-def shared_attention(x_sa: Tensor, xs: dict, p: SharedAttentionP,
-                     grid: WindowGrid, shifted: bool) -> dict:
-    """One attention map from the skip, per-task values, per-task residual.
+def shared_attention(x: Tensor, skip: Tensor, shared: SharedP, block: Block2P,
+                     grid: WindowGrid) -> Tensor:
+    """Shared-attention block on shifted windows for a stack x [K, N, C].
 
-    q = Q_r(x_sa) and k = K_r(x_sa) are computed once; every task t gets
-    y^t = x^t + Out_t(A V_t(x^t)) with the same A.
+    One probability map A comes from the raw skip [N, C] through the
+    reference q/k and bias table; every stream k then gets the pre-norm
+    skeleton y = x + Out_k(A V_k(LN_k(x))), y + MLP_k(LN_k(y)) with the same A.
     """
-    shift = grid.shift if shifted else 0
-    n, c = x_sa.shape
-    sa2d = reshape(x_sa, (grid.h, grid.w, c))
-    weights = attention_weights(sa2d, p.q, p.k, p.table, grid, shift)
-    out = {}
-    for t, x in xs.items():
-        x2d = reshape(x, (grid.h, grid.w, x.shape[-1]))
-        part = apply_attention(weights, x2d, p.v[t], p.out[t], grid, shift)
-        out[t] = add(x, reshape(part, x.shape))
-    return out
+    weights = attention_weights(shifted_windows(skip, grid, grid.shift),
+                                shared.q, shared.k, shared.table, grid, grid.shift)
+    wins = shifted_windows(norm(x, block.ln1), grid, grid.shift)
+    y = add(x, apply_attention(weights, wins, block.v, block.out, grid, grid.shift))
+    del wins, weights  # untaped, this frees them before the MLP's wide hidden layer
+    return add(y, mlp(norm(y, block.ln2), block.fc1, block.fc2))
 
 
-def decoder_stage(state: DecoderStageState, stage_index: int, cfg: ArchConfig,
-                  params: DecoderParams, grid: WindowGrid) -> dict:
-    """Skip fusion, per-task self attention, then the cross-task block."""
-    xs = {}
-    for t, x in state.xs.items():
-        stage = params.tasks[t].stages[stage_index]
-        x = add(x, linear(state.skip, stage.fuse))
-        xs[t] = attention_block(x, stage.block1, grid, shifted=False)
-
-    if not cfg.shared_attention:
-        return {t: attention_block(xs[t], params.tasks[t].stages[stage_index].block2,
-                                   grid, shifted=True)
-                for t in xs}
-
-    cross = params.cross[stage_index]
-    blocks = {t: params.tasks[t].stages[stage_index].block2 for t in xs}
-    # pre-norm skeleton: values come from LN(x), the residual from x itself,
-    # attention weights from the raw skip feature
-    sa2d = reshape(state.skip, (grid.h, grid.w, state.skip.shape[-1]))
-    weights = attention_weights(sa2d, cross.q, cross.k, cross.table, grid, grid.shift)
-    out = {}
-    for t, x in xs.items():
-        b = blocks[t]
-        h2 = reshape(norm(x, b.ln1), (grid.h, grid.w, x.shape[-1]))
-        part = apply_attention(weights, h2, b.v, b.out, grid, grid.shift)
-        y = add(x, reshape(part, x.shape))
-        out[t] = add(y, mlp(norm(y, b.ln2), b.fc1, b.fc2))
-    return out
+def decoder_stage(x: Tensor, skip: Tensor, stage: StageP, grid: WindowGrid) -> Tensor:
+    """Skip fusion, self attention, then the cross-task block, on [K, N, C]."""
+    x = add(x, linear(skip, stage.fuse))
+    x = attention_block(x, stage.block1, grid, shifted=False)
+    if stage.shared is None:
+        return attention_block(x, stage.block2, grid, shifted=True)
+    return shared_attention(x, skip, stage.shared, stage.block2, grid)
 
 
-def decode(pyramid, cfg: ArchConfig, params: DecoderParams) -> dict:
-    """Run every task decoder over skips F4, F3, F2, F1; returns token maps
-    at 1/4 resolution with C channels per task."""
+def decode(pyramid, cfg: ArchConfig, params: DecoderParams) -> Tensor:
+    """Run every task decoder over skips F4, F3, F2, F1; returns the stacked
+    token maps [K, N, C] at 1/4 resolution, slice k for ``cfg.tasks[k]``."""
     skips = tuple(pyramid)[::-1]
     sides = pyramid.sides[::-1]
     widths = decoder_channels(cfg)
-    xs = {t: linear(skips[0], params.tasks[t].init) for t in cfg.tasks}
     for i in range(4):
         if skips[i].shape != (sides[i] * sides[i], widths[i]):
             raise DimensionError(
                 f"skip {i} has shape {skips[i].shape}, expected ({sides[i] * sides[i]}, {widths[i]})")
+    x = linear(skips[0], params.init)
+    for i, stage in enumerate(params.stages):
         grid = WindowGrid(sides[i], sides[i], cfg.window, cfg.shift)
-        xs = decoder_stage(DecoderStageState(xs, skips[i]), i, cfg, params, grid)
-        if i < 3:
-            xs = {t: patch_expand(xs[t], sides[i], params.tasks[t].expands[i])
-                  for t in xs}
-    return xs
+        x = decoder_stage(x, skips[i], stage, grid)
+        if stage.expand is not None:
+            x = patch_expand(x, sides[i], stage.expand)
+    return x
 
 
 def task_head(y: Tensor, task: str, cfg: ArchConfig, p: HeadP) -> Tensor:

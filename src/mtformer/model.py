@@ -3,22 +3,25 @@
 Parameters live twice: structured bundles the layer code consumes, and one
 flat name -> Tensor dict in declaration order.  The flat view is the single
 source of truth for checkpoints, optimizers, and parameter counting; both
-views reference the same Tensor objects.
+views reference the same Tensor objects.  Task-owned decoder parameters are
+stored once per stage with a leading task axis K = len(cfg.tasks) (slice k
+belongs to ``cfg.tasks[k]``); their names are listed in ``Model.stacked``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (ArchConfig, count_parameters, decoder_channels,
                      require_valid, stage_channels, task_channels)
-from .decoder import (Block2P, CrossP, DecoderParams, HeadP, TaskDecoderP,
-                      TaskStageP, decode, task_head)
+from .decoder import (Block2P, DecoderParams, HeadP, SharedP, StageP, decode,
+                      task_head)
 from .encoder import EncoderParams, MergeP, encode
 from .layers import BlockP, LinearP, NormP
-from .tensor import Tensor
+from .tensor import Tensor, take_rows
 
 INIT_STD = 0.02
 
@@ -30,22 +33,50 @@ class Model:
     encoder: EncoderParams
     decoder: DecoderParams
     heads: dict  # task -> HeadP
+    stacked: frozenset  # names of the tensors with a leading task axis
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.flat.values())
 
 
 class _Builder:
+    """Registers parameters in declaration order.  While ``slot`` is (k, K),
+    each tensor is slice k of a stacked [K, ...] tensor (vectors become
+    [K, 1, C] so they broadcast over tokens); slice 0 registers it."""
+
     def __init__(self, seed: int, dtype):
         self.rng = np.random.default_rng(seed)
         self.dtype = dtype
         self.flat: dict = {}
+        self.stacked: set = set()
+        self.slot = None
 
     def _register(self, name: str, arr: np.ndarray) -> Tensor:
+        if self.slot is not None:
+            k, K = self.slot
+            if arr.ndim == 1:
+                arr = arr[None]
+            if k == 0:
+                assert name not in self.flat, f"duplicate parameter {name}"
+                self.flat[name] = Tensor(np.zeros((K,) + arr.shape, dtype=self.dtype),
+                                         requires_grad=True)
+                self.stacked.add(name)
+            t = self.flat[name]
+            t.data[k] = arr
+            return t
         assert name not in self.flat, f"duplicate parameter {name}"
         t = Tensor(arr.astype(self.dtype), requires_grad=True)
         self.flat[name] = t
         return t
+
+    @contextmanager
+    def unstacked(self):
+        """Register plain tensors inside the block, whatever the slot."""
+        slot, self.slot = self.slot, None
+        try:
+            yield
+        finally:
+            self.slot = slot
 
     def weight(self, name: str, shape) -> Tensor:
         # clipped normal, the usual transformer table/projection init
@@ -99,29 +130,32 @@ def init_params(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> Model:
                 w=b.weight(f"encoder.merge{s}.weight", (4 * enc_ch[s], 2 * enc_ch[s]))))
     encoder = EncoderParams(embed, stages, merges)
 
+    # random draws keep the per-task order (task outer), each into its slice
     dec_ch = decoder_channels(cfg)
     ratio = cfg.decoder_mlp_ratio
-    tasks: dict = {}
-    cross: list = [None] * 4 if cfg.shared_attention else []
-    for t in cfg.tasks:
-        init = b.linear(f"decoder.{t}.init", dec_ch[0], dec_ch[0])
-        task_stages, expands = [], []
+    shared: list = [None] * 4
+    for k, t in enumerate(cfg.tasks):
+        b.slot = (k, len(cfg.tasks))
+        init = b.linear("decoder.init", dec_ch[0], dec_ch[0])
+        dec_stages = []
         for i in range(4):
             ci = dec_ch[i]
-            base = f"decoder.{t}.s{i}"
+            base = f"decoder.s{i}"
             fuse = b.linear(f"{base}.fuse", ci, ci)
             block1 = b.block(f"{base}.b1", ci, cfg.decoder_heads[i], cfg.window, ratio)
             if cfg.shared_attention:
                 is_ref = t == cfg.reference_task
                 ln1 = b.norm(f"{base}.b2.ln1", ci)
-                qk = (b.linear(f"{base}.b2.q", ci, ci),
-                      b.linear(f"{base}.b2.k", ci, ci)) if is_ref else None
+                if is_ref:
+                    with b.unstacked():
+                        qk = (b.linear(f"{base}.shared.q", ci, ci),
+                              b.linear(f"{base}.shared.k", ci, ci))
                 v = b.linear(f"{base}.b2.v", ci, ci)
                 out = b.linear(f"{base}.b2.out", ci, ci)
                 if is_ref:
-                    cross[i] = CrossP(qk[0], qk[1],
-                                      b.table(f"{base}.b2.bias_table", cfg.window,
-                                              cfg.decoder_heads[i]))
+                    with b.unstacked():
+                        shared[i] = SharedP(*qk, b.table(f"{base}.shared.bias_table",
+                                                         cfg.window, cfg.decoder_heads[i]))
                 block2 = Block2P(
                     ln1=ln1, v=v, out=out,
                     ln2=b.norm(f"{base}.b2.ln2", ci),
@@ -130,10 +164,13 @@ def init_params(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> Model:
                 )
             else:
                 block2 = b.block(f"{base}.b2", ci, cfg.decoder_heads[i], cfg.window, ratio)
-            task_stages.append(TaskStageP(fuse, block1, block2))
-            if i < 3:
-                expands.append(b.weight(f"decoder.{t}.expand{i}.weight", (ci, 2 * ci)))
-        tasks[t] = TaskDecoderP(init, task_stages, expands)
+            expand = b.weight(f"decoder.expand{i}.weight", (ci, 2 * ci)) if i < 3 else None
+            dec_stages.append(StageP(fuse, block1, block2, None, expand))
+        if k == 0:
+            decoder = DecoderParams(init, dec_stages)
+    b.slot = None
+    for stage, bundle in zip(decoder.stages, shared):
+        stage.shared = bundle
 
     heads = {}
     c = cfg.base_channels
@@ -151,7 +188,7 @@ def init_params(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> Model:
         # L1 subgradient degeneracy
         heads["N"].out.b.data[:] = (0.06, 0.08, 1.0)
 
-    model = Model(cfg, b.flat, encoder, DecoderParams(tasks, cross), heads)
+    model = Model(cfg, b.flat, encoder, decoder, heads, frozenset(b.stacked))
     expected = count_parameters(cfg).total
     actual = model.parameter_count()
     assert actual == expected, f"built {actual} parameters, accounting says {expected}"
@@ -162,5 +199,5 @@ def forward(model: Model, img: Tensor) -> dict:
     """Image [H, W, 3] to per-task predictions [H, W, task_channels]."""
     pyramid = encode(img, model.cfg, model.encoder)
     streams = decode(pyramid, model.cfg, model.decoder)
-    return {t: task_head(streams[t], t, model.cfg, model.heads[t])
-            for t in model.cfg.tasks}
+    return {t: task_head(take_rows(streams, k), t, model.cfg, model.heads[t])
+            for k, t in enumerate(model.cfg.tasks)}

@@ -16,12 +16,12 @@ A sibling "<path>.manifest" lists one seed per line.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DimensionError, FormatError
+from .files import replace_on_success
 from .tensor import Tensor
 
 CLASS_NAMES = ("background", "sphere", "box", "cylinder", "cone",
@@ -236,17 +236,9 @@ def scene_light(seed: int) -> np.ndarray:
     return _light_from_seed(np.random.default_rng(seed))
 
 
-def generate_dataset(count: int, size: int, base_seed: int = 0,
-                     workers: int = 1) -> list:
-    """Samples for seeds base_seed..base_seed+count-1, in index order.
-
-    Generation is pure per seed, so any worker count yields identical data.
-    """
-    seeds = [base_seed + i for i in range(count)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(lambda s: generate_sample(s, size), seeds))
-    return [generate_sample(s, size) for s in seeds]
+def generate_dataset(count: int, size: int, base_seed: int = 0) -> list:
+    """Samples for seeds base_seed..base_seed+count-1, in index order."""
+    return [generate_sample(base_seed + i, size) for i in range(count)]
 
 
 # ------------------------------------------------------------------ storage
@@ -283,16 +275,21 @@ def dataset_bytes(samples) -> bytes:
 
 
 def write_dataset(samples, path, seeds=None) -> None:
-    """Serialize samples; optionally write the seed manifest alongside."""
+    """Serialize samples; optionally write the seed manifest alongside.
+
+    Each file is replaced atomically, the manifest just before the
+    dataset, and nothing is written when the inputs are inconsistent.
+    """
     samples = list(samples)
+    if seeds is not None and len(seeds) != len(samples):
+        raise DataError(f"{len(seeds)} seeds for {len(samples)} samples")
     blob = dataset_bytes(samples)
-    with open(path, "wb") as f:
+    with replace_on_success(path) as f:
         f.write(blob)
-    if seeds is not None:
-        if len(seeds) != len(samples):
-            raise DataError(f"{len(seeds)} seeds for {len(samples)} samples")
-        with open(f"{path}.manifest", "w") as f:
-            f.write("".join(f"{s}\n" for s in seeds))
+        # nested, so a failed manifest write leaves the old dataset too
+        if seeds is not None:
+            with replace_on_success(f"{path}.manifest") as m:
+                m.write("".join(f"{s}\n" for s in seeds).encode())
 
 
 def read_dataset(path) -> list:

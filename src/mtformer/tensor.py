@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DataError, DimensionError, OracleError
 
 __all__ = [
     "Tensor", "Tape", "add", "sub", "mul", "div", "neg", "pow_", "matmul",
-    "reshape", "transpose", "roll", "sum_", "mean", "exp", "log", "sqrt",
+    "reshape", "transpose", "swapaxes", "roll", "sum_", "mean", "exp", "log", "sqrt",
     "abs_", "sigmoid", "softmax_lastdim", "layer_norm", "gelu", "take_rows",
     "gather_lastdim", "grad_check", "zero_grad",
 ]
@@ -199,6 +199,13 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _broadcasts_to(shape, target) -> bool:
+    try:
+        return np.broadcast_shapes(shape, target) == tuple(target)
+    except ValueError:
+        return False
+
+
 def add(a, b) -> Tensor:
     a = _ensure(a, b if isinstance(b, Tensor) else None)
     b = _ensure(b, a)
@@ -310,6 +317,13 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _from_op(data, (a,), backward)
 
 
+def swapaxes(a: Tensor, i: int, j: int) -> Tensor:
+    """Exchange two axes (negative indices count from the end); a transpose."""
+    axes = list(range(a.data.ndim))
+    axes[i], axes[j] = axes[j], axes[i]
+    return transpose(a, axes)
+
+
 def roll(a: Tensor, shift, axis) -> Tensor:
     """Circular shift along the given axes; gradient rolls back the other way."""
     data = np.roll(a.data, shift, axis=axis)
@@ -405,27 +419,32 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (population), then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance (population), then scale and shift.
+
+    ``gamma`` and ``beta`` are [C] or carry leading axes that broadcast
+    against ``x`` (a stack of per-slice parameters, such as [K, 1, C]).
+    """
     if eps < 0:
         raise ConfigurationError(f"layer_norm eps must be >= 0, got {eps}")
     width = x.data.shape[-1]
-    if gamma.data.shape != (width,) or beta.data.shape != (width,):
-        raise DimensionError(
-            f"layer_norm gamma/beta shapes {gamma.shape}/{beta.shape} do not match last axis {width}")
+    for p in (gamma, beta):
+        if p.data.shape[-1:] != (width,) or not _broadcasts_to(p.data.shape, x.data.shape):
+            raise DimensionError(
+                f"layer_norm gamma/beta shapes {gamma.shape}/{beta.shape} do not "
+                f"match last axis {width} of {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     data = xhat * gamma.data + beta.data
-    lead = tuple(range(x.data.ndim - 1))
 
     def backward(g):
         gx = ggamma = gbeta = None
         if gamma.requires_grad:
-            ggamma = (g * xhat).sum(axis=lead)
+            ggamma = _unbroadcast(g * xhat, gamma.data.shape)
         if beta.requires_grad:
-            gbeta = g.sum(axis=lead)
+            gbeta = _unbroadcast(g, beta.data.shape)
         if x.requires_grad:
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)

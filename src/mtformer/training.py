@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +22,7 @@ from . import config as cfgmod
 from .config import ArchConfig
 from .errors import (ConfigurationError, DataError, DimensionError,
                      FormatError, NumericsError)
+from .files import replace_on_success
 from .losses import combine_losses, default_specs, per_task_loss
 from .model import Model, forward, init_params
 from .optim import OptimState, ScheduleSpec, adamw_step, lr_schedule
@@ -31,7 +30,7 @@ from .synthetic import dataset_bytes, read_dataset
 from .tensor import Tape, Tensor, mul, zero_grad
 
 CKPT_MAGIC = b"MTCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2  # 2: decoder parameters stacked along a leading task axis
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _CODE_DTYPES = {0: np.float64, 1: np.float32}
 
@@ -172,9 +171,8 @@ def train(cfg: ArchConfig, data, options: RunOptions,
     if ckpt_path:
         save_checkpoint(ckpt_path, model, opt, options.steps, bhash)
     if log_path:
-        with open(log_path, "w") as f:
-            for rec in metrics:
-                f.write(json.dumps(rec) + "\n")
+        with replace_on_success(log_path) as f:
+            f.write("".join(json.dumps(rec) + "\n" for rec in metrics).encode())
     return TrainResult(model, opt, metrics, chash, bhash, wall)
 
 
@@ -201,28 +199,13 @@ def evaluate(model_or_ckpt, data) -> dict:
 
 # -------------------------------------------------------------- checkpoints
 
-@contextmanager
-def _replace_on_success(path):
-    """Yield a binary file at ``<path>.tmp`` and rename it over ``path`` once
-    the block succeeds; on failure remove it, so ``path`` is never torn."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def save_checkpoint(path, model: Model, opt: OptimState | None,
                     step: int, budget: str = "") -> None:
     dt = next(iter(model.flat.values())).data.dtype
     code = _DTYPE_CODES[np.dtype(dt)]
     cfg_text = cfgmod.to_text(model.cfg).encode()
     budget_b = budget.encode()
-    with _replace_on_success(path) as f:
+    with replace_on_success(path) as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<IIQ", CKPT_VERSION, code, step))
         f.write(struct.pack("<I", len(cfg_text)) + cfg_text)
@@ -319,12 +302,14 @@ def load_checkpoint(path):
 def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
                           eps: float = 1e-5, seed: int = 0) -> dict:
     """Compare taped gradients of the combined loss against central
-    differences at ``samples_per_tensor`` random elements of every parameter.
+    differences at ``samples_per_tensor`` random elements of every parameter,
+    and of every task slice of a parameter stacked along the task axis.
 
     Relative error uses max(|analytic|, |numeric|, 1e-5) as denominator: the
     floor absorbs finite-difference noise on near-zero gradients while any
     wrong gradient of consequential size still fails loudly.  Returns
-    {"max_rel_err", "worst_tensor", "probes"}.
+    {"max_rel_err", "worst_tensor", "probes"}; a task slice is named
+    ``<name>[<task>]``.
     """
     specs = default_specs(model.cfg.tasks)
     dt = next(iter(model.flat.values())).data.dtype
@@ -351,21 +336,26 @@ def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
     probes = 0
     for name, p in model.flat.items():
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        for flat_idx in rng.choice(p.data.size,
-                                   size=min(samples_per_tensor, p.data.size),
-                                   replace=False):
-            original = flat[flat_idx]
-            flat[flat_idx] = original + eps
-            hi = loss_value()
-            flat[flat_idx] = original - eps
-            lo = loss_value()
-            flat[flat_idx] = original
-            numeric = (hi - lo) / (2.0 * eps)
-            analytic = grad.reshape(-1)[flat_idx]
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
-            probes += 1
-            if rel > worst:
-                worst, worst_name = rel, name
+        if name in model.stacked:
+            parts = [(f"{name}[{t}]", p.data[k], grad[k])
+                     for k, t in enumerate(model.cfg.tasks)]
+        else:
+            parts = [(name, p.data, grad)]
+        for label, data, g in parts:
+            flat = data.reshape(-1)  # a view: writes perturb the parameter
+            for flat_idx in rng.choice(data.size, size=min(samples_per_tensor, data.size),
+                                       replace=False):
+                original = flat[flat_idx]
+                flat[flat_idx] = original + eps
+                hi = loss_value()
+                flat[flat_idx] = original - eps
+                lo = loss_value()
+                flat[flat_idx] = original
+                numeric = (hi - lo) / (2.0 * eps)
+                analytic = g.reshape(-1)[flat_idx]
+                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
+                probes += 1
+                if rel > worst:
+                    worst, worst_name = rel, label
     zero_grad(model.flat.values())
     return {"max_rel_err": worst, "worst_tensor": worst_name, "probes": probes}

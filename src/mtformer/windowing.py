@@ -1,6 +1,8 @@
 """Window geometry: partitioning, cyclic shifts, attention masks, position bias.
 
-All functions act on token maps laid out [H, W, C] (row major).  Windows are
+All functions act on token maps laid out [..., H, W, C] (row major), where
+any leading axes (such as the decoders' task axis) are carried through
+untouched; the geometry always sits on the trailing axes.  Windows are
 enumerated row major over the window grid and tokens row major inside each
 window, so window k of a [H, W, C] map covers rows [win*(k // (W//win)) ...]
 and never mixes rows from two window bands.
@@ -14,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .tensor import Tensor, reshape, roll, take_rows, transpose
+from .tensor import Tensor, reshape, roll, swapaxes, take_rows, transpose
 
 MASK_VALUE = -1e9
 
@@ -48,34 +50,34 @@ class WindowGrid:
 
 
 def window_partition(x: Tensor, win: int) -> Tensor:
-    """[H, W, C] -> [num_windows, win*win, C], windows and tokens row major."""
-    h, w, c = x.shape
+    """[..., H, W, C] -> [..., num_windows, win*win, C], windows and tokens row major."""
+    *lead, h, w, c = x.shape
     if h % win or w % win:
         raise DimensionError(f"window {win} does not divide map {h}x{w}")
-    t = reshape(x, (h // win, win, w // win, win, c))
-    t = transpose(t, (0, 2, 1, 3, 4))
-    return reshape(t, ((h // win) * (w // win), win * win, c))
+    lead = tuple(lead)
+    t = reshape(x, lead + (h // win, win, w // win, win, c))
+    return reshape(swapaxes(t, -4, -3), lead + ((h // win) * (w // win), win * win, c))
 
 
 def window_reverse(wins: Tensor, h: int, w: int) -> Tensor:
-    """Inverse of :func:`window_partition` back to [H, W, C]."""
-    n, t, c = wins.shape
+    """Inverse of :func:`window_partition` back to [..., H, W, C]."""
+    *lead, nw, t, c = wins.shape
     win = int(round(t ** 0.5))
-    if win * win != t or n * t != h * w:
+    if win * win != t or nw * t != h * w or h % win or w % win:
         raise DimensionError(
-            f"cannot reassemble {n} windows of {t} tokens into {h}x{w}")
-    x = reshape(wins, (h // win, w // win, win, win, c))
-    x = transpose(x, (0, 2, 1, 3, 4))
-    return reshape(x, (h, w, c))
+            f"cannot reassemble {nw} windows of {t} tokens into {h}x{w}")
+    lead = tuple(lead)
+    x = reshape(wins, lead + (h // win, w // win, win, win, c))
+    return reshape(swapaxes(x, -4, -3), lead + (h, w, c))
 
 
 def cyclic_shift(x: Tensor, shift: int) -> Tensor:
-    """Roll the map up and left: output[i, j] = input[(i+shift) % H, (j+shift) % W]."""
-    return roll(x, (-shift, -shift), (0, 1))
+    """Roll the map up and left: output[..., i, j, :] = input[..., (i+shift) % H, (j+shift) % W, :]."""
+    return roll(x, (-shift, -shift), (-3, -2))
 
 
 def cyclic_unshift(x: Tensor, shift: int) -> Tensor:
-    return roll(x, (shift, shift), (0, 1))
+    return roll(x, (shift, shift), (-3, -2))
 
 
 def _partition_array(arr: np.ndarray, win: int) -> np.ndarray:
@@ -123,11 +125,16 @@ def rel_pos_index(win: int):
 
 
 def rel_pos_bias(table: Tensor, win: int) -> Tensor:
-    """Expand a [(2*win-1)^2, heads] table into an additive [heads, T, T] bias."""
-    rows = (2 * win - 1) ** 2
-    if table.shape[0] != rows:
+    """Expand a [..., (2*win-1)^2, heads] table into an additive [..., heads, T, T] bias."""
+    *lead, rows, heads = table.shape
+    if rows != (2 * win - 1) ** 2:
         raise DimensionError(
-            f"bias table has {table.shape[0]} rows, window {win} needs {rows}")
+            f"bias table has {rows} rows, window {win} needs {(2 * win - 1) ** 2}")
+    lead = tuple(lead)
+    n = len(lead)
     t = win * win
+    if n:  # take_rows gathers along axis 0, so bring the table rows there
+        table = transpose(table, (n,) + tuple(range(n)) + (n + 1,))
     gathered = take_rows(table, np.asarray(rel_pos_index(win)).reshape(-1))
-    return transpose(reshape(gathered, (t, t, table.shape[1])), (2, 0, 1))
+    bias = reshape(gathered, (t, t) + lead + (heads,))
+    return transpose(bias, tuple(range(2, n + 2)) + (n + 2, 0, 1))

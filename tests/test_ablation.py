@@ -102,6 +102,21 @@ def test_report_file_is_line_delimited_with_stable_field_order(tmp_path):
     assert again.read_bytes() == out.read_bytes()
 
 
+def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
+    from test_training import fail_writes_after
+    out = tmp_path / "report.jsonl"
+    rows = quick_sweep(subsets=[("S",)], shared_flags=(False,), report_path=out)
+    before = out.read_bytes()
+
+    fail_writes_after(monkeypatch, len(before) // 2)
+    with pytest.raises(OSError, match="halfway"):
+        write_report(rows + rows, out)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.jsonl"]
+    assert out.read_bytes() == before
+
+
 def test_shared_comparison_reports_per_task_deltas():
     rows = quick_sweep()
     summary = shared_comparison(rows)

@@ -28,8 +28,9 @@ from mtformer.synthetic import (generate_sample, read_dataset, scene_light,
 from mtformer.tensor import (Tape, Tensor, add, matmul, mul, softmax_lastdim,
                              transpose, zero_grad)
 from mtformer.training import RunOptions, check_model_gradients, train
-from mtformer.windowing import (MASK_VALUE, WindowGrid, rel_pos_index,
-                                shift_mask, window_partition, window_reverse)
+from mtformer.windowing import (MASK_VALUE, WindowGrid, cyclic_shift,
+                                rel_pos_index, shift_mask, window_partition,
+                                window_reverse)
 
 from test_synthetic import _sobel_oracle
 
@@ -47,10 +48,13 @@ def test_criterion_1_gradient_fidelity_desk_nano():
     report = check_model_gradients(model, sample, samples_per_tensor=1, seed=0)
     elapsed = time.perf_counter() - started
     assert report["probes"] >= len(model.flat)
+    # one probe per task slice of every stacked decoder tensor: as many as
+    # the 914 separate tensors of the per-task layout
+    assert report["probes"] >= 914
     assert report["max_rel_err"] <= 1e-3, report
     assert elapsed <= 300.0, f"gradient check took {elapsed:.0f}s"
     _report(1, f"max rel err {report['max_rel_err']:.2e} over "
-               f"{report['probes']} probed tensors in {elapsed:.0f}s "
+               f"{report['probes']} probes (one per tensor or task slice) in {elapsed:.0f}s "
                f"(worst: {report['worst_tensor']})")
 
 
@@ -92,8 +96,8 @@ def test_criterion_2_window_geometry_invariants():
     q = LinearP(Tensor(rng.normal(size=(c, c))), Tensor(rng.normal(size=c)))
     k = LinearP(Tensor(rng.normal(size=(c, c))), Tensor(rng.normal(size=c)))
     table = Tensor(rng.normal(size=(9, heads)))
-    probs = attention_weights(Tensor(rng.normal(size=(4, 4, c))),
-                              q, k, table, grid, shift=1).data
+    wins = window_partition(cyclic_shift(Tensor(rng.normal(size=(4, 4, c))), 1), grid.win)
+    probs = attention_weights(wins, q, k, table, grid, shift=1).data
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-9)
     masked_pairs = np.broadcast_to(~allowed[:, None], probs.shape)
     assert probs[masked_pairs].max() <= 1e-6
@@ -125,15 +129,17 @@ def _small_shared_cfg(tasks):
 
 
 def test_criterion_3_shared_attention_semantics():
-    # identical per-task parameters give identical task outputs
+    # identical per-task parameters give identical task outputs: copy task
+    # D's slice of every stacked decoder tensor, and its head, to K and E
     cfg = _small_shared_cfg(("D", "K", "E"))
     model = init_params(cfg, seed=0)
     for clone in ("K", "E"):
+        k = cfg.tasks.index(clone)
         for name, p in model.flat.items():
-            for prefix in ("decoder.", "head."):
-                src = f"{prefix}D."
-                if name.startswith(f"{prefix}{clone}."):
-                    p.data = model.flat[name.replace(f"{prefix}{clone}.", src, 1)].data.copy()
+            if name in model.stacked:
+                p.data[k] = p.data[cfg.tasks.index("D")]
+            elif name.startswith(f"head.{clone}."):
+                p.data = model.flat[name.replace(f"head.{clone}.", "head.D.", 1)].data.copy()
     rng = np.random.default_rng(1)
     preds = forward(model, Tensor(rng.uniform(size=(64, 64, 3))))
     assert np.abs(preds["D"].data - preds["K"].data).max() <= 1e-12
@@ -177,9 +183,10 @@ def test_criterion_3_shared_attention_semantics():
         zero_grad(model.flat.values())
         with Tape() as tape:
             tape.backward(per_task_loss(t, forward(model, img)[t], sample.target(t)))
-        for i, cross in enumerate(model.decoder.cross):
-            for label, param in (("q", cross.q.w), ("k", cross.k.w),
-                                 ("table", cross.table)):
+        for i, stage in enumerate(model.decoder.stages):
+            shared = stage.shared
+            for label, param in (("q", shared.q.w), ("k", shared.k.w),
+                                 ("table", shared.table)):
                 assert param.grad is not None and np.abs(param.grad).max() > 0, \
                     f"stage {i} shared {label} got no gradient from task {t}"
     zero_grad(model.flat.values())

@@ -177,6 +177,21 @@ def test_file_roundtrip(tmp_path):
     assert load(path) == cfg
 
 
+def test_failed_save_keeps_previous_config(tmp_path, monkeypatch):
+    from test_training import fail_writes_after
+    path = tmp_path / "cfg.txt"
+    save(preset("mult-tiny"), path)
+    before = path.read_bytes()
+
+    fail_writes_after(monkeypatch, len(before) // 2)
+    with pytest.raises(OSError, match="halfway"):
+        save(preset("desk-nano"), path)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+    assert path.read_bytes() == before
+
+
 def test_unknown_key_is_an_error():
     with pytest.raises(ConfigurationError) as err:
         from_text("img_size=128\nwidht=7\n")

@@ -5,15 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from mtformer import config
-from mtformer.decoder import (HeadP, SharedAttentionP, decode, patch_expand,
+from mtformer.decoder import (Block2P, SharedP, decode, patch_expand,
                               shared_attention, task_head)
 from mtformer.encoder import encode
 from mtformer.errors import DimensionError
-from mtformer.layers import LinearP
+from mtformer.layers import LinearP, NormP
 from mtformer.model import forward, init_params
-from mtformer.tensor import Tape, Tensor, grad_check, mean, mul
+from mtformer.tensor import Tape, Tensor, grad_check, mean, mul, take_rows
 from mtformer.windowing import WindowGrid
 
 RNG = np.random.default_rng(77)
@@ -89,6 +90,30 @@ def test_patch_expand_gradients():
 
 # ------------------------------------------------------- shared attention op
 
+def _stacked_linear(k, c_in, c_out, rng, scale=1.0):
+    """One [c_in, c_out] projection per stream: weights [K, c_in, c_out],
+    biases [K, 1, c_out]."""
+    return LinearP(Tensor(scale * rng.standard_normal((k, c_in, c_out)), requires_grad=True),
+                   Tensor(0.1 * rng.standard_normal((k, 1, c_out)), requires_grad=True))
+
+
+def _stacked_norm(k, c, rng):
+    return NormP(Tensor(rng.uniform(0.5, 1.5, (k, 1, c)), requires_grad=True),
+                 Tensor(0.1 * rng.standard_normal((k, 1, c)), requires_grad=True))
+
+
+def _block2(k, c, rng):
+    return Block2P(ln1=_stacked_norm(k, c, rng), v=_stacked_linear(k, c, c, rng),
+                   out=_stacked_linear(k, c, c, rng), ln2=_stacked_norm(k, c, rng),
+                   fc1=_stacked_linear(k, c, 2 * c, rng), fc2=_stacked_linear(k, 2 * c, c, rng))
+
+
+def _shared_p(c, heads, win, rng, scale=1.0):
+    return SharedP(q=_linear(c, c, rng, scale), k=_linear(c, c, rng, scale),
+                   table=Tensor(0.3 * rng.standard_normal(((2 * win - 1) ** 2, heads)),
+                                requires_grad=True))
+
+
 def _rel_bias_oracle(table, win):
     t = win * win
     coords = [(i, j) for i in range(win) for j in range(win)]
@@ -100,113 +125,115 @@ def _rel_bias_oracle(table, win):
     return bias
 
 
-def _shared_oracle(x_sa, xs, p, win):
-    """Single-window numpy recomputation, one head."""
-    q = x_sa @ p.q.w.data + p.q.b.data
-    k = x_sa @ p.k.w.data + p.k.b.data
-    hd = q.shape[-1]
-    logits = q @ k.T / math.sqrt(hd) + _rel_bias_oracle(p.table.data, win)[0]
-    e = np.exp(logits - logits.max(-1, keepdims=True))
-    att = e / e.sum(-1, keepdims=True)
-    out = {}
-    for t, x in xs.items():
-        v = x @ p.v[t].w.data + p.v[t].b.data
-        out[t] = x + (att @ v) @ p.out[t].w.data + p.out[t].b.data
-    return out
+def _lin(x, p, k=None):
+    w, b = (p.w.data, p.b.data) if k is None else (p.w.data[k], p.b.data[k])
+    return x @ w + b
+
+
+def _ln(x, p, k):
+    mu = x.mean(-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + 1e-5) * p.gamma.data[k] + p.beta.data[k]
+
+
+def _mlp(x, blk, k):
+    h = _lin(x, blk.fc1, k)
+    return _lin(h * 0.5 * (1.0 + erf(h / math.sqrt(2.0))), blk.fc2, k)
+
+
+def _shared_oracle(x_sa, xs, shared, blk, att=None, win=None):
+    """Single-window numpy recomputation, one head: A from the skip, then
+    per stream y = x + Out(A V(LN x)), y + MLP(LN y)."""
+    if att is None:
+        q, k = _lin(x_sa, shared.q), _lin(x_sa, shared.k)
+        logits = q @ k.T / math.sqrt(q.shape[-1]) + _rel_bias_oracle(shared.table.data, win)[0]
+        e = np.exp(logits - logits.max(-1, keepdims=True))
+        att = e / e.sum(-1, keepdims=True)
+    out = []
+    for s, x in enumerate(xs):
+        y = x + _lin(att @ _lin(_ln(x, blk.ln1, s), blk.v, s), blk.out, s)
+        out.append(y + _mlp(_ln(y, blk.ln2, s), blk, s))
+    return np.stack(out)
 
 
 def test_shared_attention_matches_hand_computation():
     # 2x2 grid, window 2, one head: the whole grid is a single window, so the
-    # oracle is a direct softmax(q k^T / sqrt(2) + bias) per task
+    # oracle is a direct softmax(q k^T / sqrt(2) + bias), reused by both streams
     c = 2
     grid = WindowGrid(2, 2, 2, 0)
-    p = SharedAttentionP(q=_linear(c, c, RNG), k=_linear(c, c, RNG),
-                         table=Tensor(0.3 * RNG.standard_normal((9, 1)),
-                                      requires_grad=True),
-                         v={t: _linear(c, c, RNG) for t in ("S", "N")},
-                         out={t: _linear(c, c, RNG) for t in ("S", "N")})
+    shared, blk = _shared_p(c, 1, 2, RNG), _block2(2, c, RNG)
     x_sa = RNG.uniform(-1, 1, (4, c))
-    xs = {t: RNG.uniform(-1, 1, (4, c)) for t in ("S", "N")}
+    xs = RNG.uniform(-1, 1, (2, 4, c))
 
-    got = shared_attention(Tensor(x_sa), {t: Tensor(v) for t, v in xs.items()},
-                           p, grid, shifted=False)
-    want = _shared_oracle(x_sa, xs, p, win=2)
-    for t in xs:
-        np.testing.assert_allclose(got[t].data, want[t], rtol=0, atol=1e-12)
+    got = shared_attention(Tensor(xs), Tensor(x_sa), shared, blk, grid)
+    want = _shared_oracle(x_sa, xs, shared, blk, win=2)
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
 def test_shared_attention_single_token_windows():
     # window 1 collapses attention to the identity map over values:
-    # y = x + Out(V(x)) exactly, independent of q, k, and the bias table
+    # y = x + Out(V(LN x)) (then the MLP) exactly, independent of q, k, and
+    # the bias table
     c = 3
     grid = WindowGrid(2, 2, 1, 0)
-    p = SharedAttentionP(q=_linear(c, c, RNG), k=_linear(c, c, RNG),
-                         table=Tensor(RNG.standard_normal((1, 1)), requires_grad=True),
-                         v={"D": _linear(c, c, RNG)}, out={"D": _linear(c, c, RNG)})
+    shared, blk = _shared_p(c, 1, 1, RNG), _block2(1, c, RNG)
     x_sa = RNG.uniform(-1, 1, (4, c))
-    x = RNG.uniform(-1, 1, (4, c))
-    got = shared_attention(Tensor(x_sa), {"D": Tensor(x)}, p, grid, shifted=False)
-    want = x + (x @ p.v["D"].w.data + p.v["D"].b.data) @ p.out["D"].w.data + p.out["D"].b.data
-    np.testing.assert_allclose(got["D"].data, want, rtol=0, atol=1e-12)
+    x = RNG.uniform(-1, 1, (1, 4, c))
+    got = shared_attention(Tensor(x), Tensor(x_sa), shared, blk, grid)
+    want = _shared_oracle(None, x, None, blk, att=np.eye(4))
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
 def test_shared_attention_identical_tasks_stay_identical():
     c = 4
     grid = WindowGrid(4, 4, 2, 0)
-    vp, op = _linear(c, c, RNG), _linear(c, c, RNG)
-    p = SharedAttentionP(q=_linear(c, c, RNG), k=_linear(c, c, RNG),
-                         table=Tensor(RNG.standard_normal((9, 2)), requires_grad=True),
-                         v={"S": vp, "E": vp}, out={"S": op, "E": op})
+    shared, blk = _shared_p(c, 2, 2, RNG), _block2(2, c, RNG)
+    for bundle in vars(blk).values():  # stream 1 gets stream 0's parameters
+        for t in vars(bundle).values():
+            t.data[1] = t.data[0]
     x_sa = RNG.uniform(-1, 1, (16, c))
     x = RNG.uniform(-1, 1, (16, c))
-    got = shared_attention(Tensor(x_sa), {"S": Tensor(x.copy()), "E": Tensor(x.copy())},
-                           p, grid, shifted=False)
-    assert np.max(np.abs(got["S"].data - got["E"].data)) <= 1e-12
+    got = shared_attention(Tensor(np.stack([x, x])), Tensor(x_sa), shared, blk, grid)
+    assert np.max(np.abs(got.data[0] - got.data[1])) <= 1e-12
 
 
 def test_shared_attention_gradients_flow_to_reference_projections():
-    # a loss on any single task must reach the shared q/k and bias table;
+    # a loss on any single stream must reach the shared q/k and bias table;
     # 4x4 grid so shifted windows keep unmasked cross-token pairs
     c = 2
     grid = WindowGrid(4, 4, 2, 1)
-    for probe_task in ("S", "K"):
-        p = SharedAttentionP(q=_linear(c, c, RNG), k=_linear(c, c, RNG),
-                             table=Tensor(0.2 * RNG.standard_normal((9, 1)),
-                                          requires_grad=True),
-                             v={t: _linear(c, c, RNG) for t in ("S", "K")},
-                             out={t: _linear(c, c, RNG) for t in ("S", "K")})
+    for probe in (0, 1):
+        shared, blk = _shared_p(c, 1, 2, RNG), _block2(2, c, RNG)
         x_sa = Tensor(RNG.uniform(-1, 1, (16, c)))
-        xs = {t: Tensor(RNG.uniform(-1, 1, (16, c))) for t in ("S", "K")}
+        xs = Tensor(RNG.uniform(-1, 1, (2, 16, c)))
         with Tape() as tape:
-            y = shared_attention(x_sa, xs, p, grid, shifted=True)
-            tape.backward(mean(y[probe_task]))
-        for param in (p.q.w, p.k.w, p.table):
+            y = shared_attention(xs, x_sa, shared, blk, grid)
+            tape.backward(mean(take_rows(y, probe)))
+        for param in (shared.q.w, shared.k.w, shared.table):
             assert param.grad is not None and np.abs(param.grad).max() > 0
-        other = "K" if probe_task == "S" else "S"
-        assert p.v[other].w.grad is None, "other task's values must stay untouched"
+        other = 1 - probe
+        assert np.abs(blk.v.w.grad[probe]).max() > 0
+        assert not blk.v.w.grad[other].any(), "other stream's values must stay untouched"
 
 
 def test_shared_attention_op_gradient_check():
-    c = 2
+    # four channels: over two, LN maps every token to +-gamma + beta, so the
+    # values of a window nearly coincide and the skip's gradient entries fall
+    # to ~1e-8, where central differences are noise
+    c = 4
     grid = WindowGrid(4, 4, 2, 1)
-    p = SharedAttentionP(q=_linear(c, c, RNG, 0.5), k=_linear(c, c, RNG, 0.5),
-                         table=Tensor(0.2 * RNG.standard_normal((9, 1)),
-                                      requires_grad=True),
-                         v={"S": _linear(c, c, RNG), "N": _linear(c, c, RNG)},
-                         out={"S": _linear(c, c, RNG), "N": _linear(c, c, RNG)})
+    shared, blk = _shared_p(c, 1, 2, RNG, 0.5), _block2(2, c, RNG)
     sa0 = RNG.uniform(-1, 1, (16, c))
-    xs0 = {t: RNG.uniform(-1, 1, (16, c)) for t in ("S", "N")}
-    coef = {t: RNG.standard_normal((16, c)) for t in ("S", "N")}
+    xs0 = RNG.uniform(-1, 1, (2, 16, c))
+    coef = RNG.standard_normal((2, 16, c))
 
     def loss_from_sa(x_sa):
-        ys = shared_attention(x_sa, {t: Tensor(v) for t, v in xs0.items()},
-                              p, grid, shifted=True)
-        total = mean(mul(ys["S"], Tensor(coef["S"])))
-        return total + mean(mul(ys["N"], Tensor(coef["N"])))
+        ys = shared_attention(Tensor(xs0), x_sa, shared, blk, grid)
+        return mean(mul(ys, Tensor(coef)))
 
     assert grad_check(loss_from_sa, Tensor(sa0.copy(), requires_grad=True),
                       eps=1e-6) < 1e-5
-    for param in (p.q.w, p.table, p.v["S"].w, p.out["N"].b):
+    for param in (shared.q.w, shared.table, blk.v.w, blk.out.b, blk.ln1.gamma):
         assert grad_check(lambda _: loss_from_sa(Tensor(sa0)), param,
                           eps=1e-6) < 1e-5
 
@@ -219,9 +246,7 @@ def test_decode_produces_full_width_token_maps():
     img = Tensor(RNG.uniform(0, 1, (64, 64, 3)))
     pyr = encode(img, cfg, m.encoder)
     ys = decode(pyr, cfg, m.decoder)
-    assert set(ys) == {"S", "D", "N"}
-    for y in ys.values():
-        assert y.shape == (16 * 16, cfg.base_channels)
+    assert ys.shape == (len(cfg.tasks), 16 * 16, cfg.base_channels)
 
 
 def test_decode_rejects_malformed_pyramid():
@@ -246,8 +271,8 @@ def test_reference_projections_learn_from_every_task_loss():
             preds = forward(m, img)
             tape.backward(mean(preds[probed]))
         for stage in range(4):
-            cross = m.decoder.cross[stage]
-            for param in (cross.q.w, cross.k.w, cross.table):
+            shared = m.decoder.stages[stage].shared
+            for param in (shared.q.w, shared.k.w, shared.table):
                 assert param.grad is not None and np.abs(param.grad).max() > 0, (
                     f"stage {stage} shared projections untouched by task {probed}")
 
@@ -255,19 +280,48 @@ def test_reference_projections_learn_from_every_task_loss():
 def test_independent_mode_has_no_cross_parameters():
     cfg = _small_cfg(shared_attention=False)
     m = init_params(cfg, seed=9)
-    assert m.decoder.cross == []
-    assert any(".b2.q.weight" in k and ".s0." in k for k in m.flat)
-    # every task owns a full second block now
-    for t in cfg.tasks:
-        assert f"decoder.{t}.s0.b2.q.weight" in m.flat
+    assert all(stage.shared is None for stage in m.decoder.stages)
+    assert not any(".shared." in name for name in m.flat)
+    # every task owns a full second block: one q slice per task
+    q = m.flat["decoder.s0.b2.q.weight"]
+    assert "decoder.s0.b2.q.weight" in m.stacked
+    assert q.shape == (len(cfg.tasks), 8 * cfg.base_channels, 8 * cfg.base_channels)
 
 
 def test_shared_mode_stores_qk_only_under_reference():
+    # one unstacked q/k/table bundle per stage; no task slice holds a q
     cfg = _small_cfg()
     m = init_params(cfg, seed=9)
-    for t in cfg.tasks:
-        key = f"decoder.{t}.s0.b2.q.weight"
-        assert (key in m.flat) == (t == cfg.reference_task)
+    c0 = 8 * cfg.base_channels
+    assert "decoder.s0.b2.q.weight" not in m.flat
+    assert m.flat["decoder.s0.shared.q.weight"].shape == (c0, c0)
+    assert m.flat["decoder.s0.shared.bias_table"].shape == ((2 * cfg.window - 1) ** 2,
+                                                           cfg.decoder_heads[0])
+    assert not any(".shared." in name for name in m.stacked)
+    k = len(cfg.tasks)
+    assert m.flat["decoder.s0.b1.q.weight"].shape == (k, c0, c0)
+    assert m.flat["decoder.s0.b1.q.bias"].shape == (k, 1, c0)
+    assert m.flat["decoder.s0.b2.ln1.gamma"].shape == (k, 1, c0)
+    assert m.flat["decoder.s0.b1.bias_table"].shape == (k, (2 * cfg.window - 1) ** 2,
+                                                        cfg.decoder_heads[0])
+    assert m.flat["decoder.expand0.weight"].shape == (k, c0, 2 * c0)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+def test_task_slice_matches_single_task_model(shared):
+    # isolation oracle: task t's slice of a six-task model predicts what a
+    # one-task model holding that slice (and the shared q/k/table) predicts
+    six = replace(config.preset("desk-nano"), shared_attention=shared)
+    m6 = init_params(six, seed=3)
+    img = Tensor(RNG.uniform(0, 1, (six.img_size, six.img_size, 3)))
+    preds6 = forward(m6, img)
+    for k, t in enumerate(six.tasks):
+        m1 = init_params(replace(six, tasks=(t,), reference_task=t), seed=11)
+        for name, p in m1.flat.items():
+            p.data = (m6.flat[name].data[k:k + 1] if name in m1.stacked
+                      else m6.flat[name].data).copy()
+        got = forward(m1, img)[t].data
+        assert np.abs(got - preds6[t].data).max() <= 1e-12, t
 
 
 # ------------------------------------------------------------------- heads

@@ -49,8 +49,13 @@ def test_per_module_sizes_match_accounting():
         return sum(t.data.size for k, t in m.flat.items() if k.startswith(prefix))
 
     assert total("patch_embed") + total("encoder.") == want.encoder
+    # each task owns one slice of every stacked decoder tensor; the shared
+    # q/k/table bundle is accounted to the reference task
+    stacked = sum(m.flat[n].data.size for n in m.stacked)
+    shared = total("decoder.") - stacked
     for t in cfg.tasks:
-        assert total(f"decoder.{t}.") == want.decoder[t]
+        own = stacked // len(cfg.tasks) + (shared if t == cfg.reference_task else 0)
+        assert own == want.decoder[t]
         assert total(f"head.{t}.") == want.heads[t]
 
 
@@ -62,7 +67,8 @@ def test_registry_names_are_unique_and_ordered():
     assert names[1] == "patch_embed.bias"
     assert "encoder.s0.b0.ln1.gamma" in names
     assert "encoder.merge2.weight" in names
-    assert "decoder.N.s3.b2.bias_table" in names
+    assert "decoder.s3.shared.bias_table" in names
+    assert "decoder.s3.b1.bias_table" in names
     assert "head.S.out.bias" in names
     # encoder parameters come before any decoder parameter
     assert max(i for i, n in enumerate(names) if n.startswith("encoder.")) \
@@ -106,6 +112,19 @@ def test_float32_model_computes_in_float32():
         tape.backward(total)
     assert {out.dtype for out, _, _ in tape._records} == {np.dtype(np.float32)}
     assert all(p.dtype == np.float32 for p in preds.values())
+
+
+def test_taped_sample_records_at_most_850_ops():
+    # the six decoders run as one stacked stream: a per-task loop would tape
+    # 2355 ops for one desk-nano sample
+    cfg = config.preset("desk-nano")
+    m = init_params(cfg, seed=0)
+    sample = generate_sample(0, cfg.img_size)
+    with Tape() as tape:
+        preds = forward(m, Tensor(np.asarray(sample.rgb, dtype=np.float64)))
+        losses = {t: per_task_loss(t, preds[t], sample.target(t)) for t in cfg.tasks}
+        total, _ = combine_losses(losses, default_specs(cfg.tasks))
+    assert len(tape) <= 850, len(tape)
 
 
 def test_forward_output_contract():

@@ -147,10 +147,11 @@ def test_generation_rejects_tiny_size():
         generate_sample(0, 2)
 
 
-def test_parallel_generation_matches_serial():
-    serial = generate_dataset(6, 24, base_seed=50, workers=1)
-    threaded = generate_dataset(6, 24, base_seed=50, workers=3)
-    for a, b in zip(serial, threaded):
+def test_dataset_generation_is_deterministic():
+    first = generate_dataset(6, 24, base_seed=50)
+    again = generate_dataset(6, 24, base_seed=50)
+    assert len(first) == len(again) == 6
+    for a, b in zip(first, again):
         for f in TaskBundle.FIELDS:
             assert np.array_equal(getattr(a, f), getattr(b, f))
 
@@ -226,3 +227,25 @@ def test_write_rejects_bad_inputs(tmp_path):
         write_dataset(mixed, tmp_path / "y.mtds")
     with pytest.raises(DataError):
         write_dataset([generate_sample(0, 16)], tmp_path / "z.mtds", seeds=[1, 2])
+    # rejected before anything reaches the disk
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fail_in", ["dataset", "manifest"])
+def test_failed_write_keeps_previous_dataset(tmp_path, monkeypatch, fail_in):
+    from test_training import fail_writes_after
+    path = tmp_path / "keep.mtds"
+    write_dataset(generate_dataset(2, 16, base_seed=1), path, seeds=[1, 2])
+    before = path.read_bytes()
+    manifest = (tmp_path / "keep.mtds.manifest").read_bytes()
+
+    # the dataset is written first: it breaks halfway, or it is complete
+    # and the manifest breaks after two bytes
+    fail_writes_after(monkeypatch, len(before) // 2 if fail_in == "dataset" else len(before) + 2)
+    with pytest.raises(OSError, match="halfway"):
+        write_dataset(generate_dataset(2, 16, base_seed=5), path, seeds=[5, 66])
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.mtds", "keep.mtds.manifest"]
+    assert path.read_bytes() == before
+    assert (tmp_path / "keep.mtds.manifest").read_bytes() == manifest

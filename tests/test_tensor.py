@@ -190,6 +190,29 @@ def test_layer_norm_gamma_beta_gradients():
     assert err < 1e-4
 
 
+def test_layer_norm_stacked_gamma_beta_gradients():
+    # one [1, C] scale/shift per leading slice, as the task-stacked decoders use
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(3, 5, 4)))
+    w = Tensor(rng.normal(size=(3, 5, 4)))
+    beta0 = rng.normal(size=(3, 1, 4))
+
+    gamma = _rand(rng, 3, 1, 4)
+    err = T.grad_check(lambda g: T.sum_(T.mul(T.layer_norm(x, g, Tensor(beta0)), w)), gamma)
+    assert err < 1e-4
+    out = T.layer_norm(x, gamma, Tensor(beta0)).data
+    for k in range(3):
+        want = T.layer_norm(Tensor(x.data[k]), Tensor(gamma.data[k, 0]), Tensor(beta0[k, 0])).data
+        np.testing.assert_array_equal(out[k], want)
+
+    beta = _rand(rng, 3, 1, 4)
+    err = T.grad_check(lambda b: T.sum_(T.mul(T.layer_norm(x, Tensor(np.ones((3, 1, 4))), b), w)),
+                       beta)
+    assert err < 1e-4
+    with pytest.raises(DimensionError):
+        T.layer_norm(x, Tensor(np.ones((2, 1, 4))), Tensor(np.zeros(4)))
+
+
 def test_matmul_right_operand_gradient_with_broadcast():
     rng = np.random.default_rng(8)
     a = Tensor(rng.normal(size=(4, 5, 3)))

@@ -142,7 +142,8 @@ def test_checkpoint_float32_roundtrip(tmp_path):
 
 
 class _FailingFile:
-    """Writes through to ``f`` until ``budget`` bytes are spent, then raises."""
+    """Writes through to ``f`` until the bytes left in ``budget`` (a one-item
+    list shared by every file opened under the patch) are spent, then raises."""
 
     def __init__(self, f, budget):
         self.f, self.budget = f, budget
@@ -155,25 +156,33 @@ class _FailingFile:
         return False
 
     def write(self, b):
-        if len(b) > self.budget:
-            self.f.write(b[:self.budget])
+        if len(b) > self.budget[0]:
+            self.f.write(b[:self.budget[0]])
             raise OSError("simulated failure halfway through the write")
-        self.budget -= len(b)
+        self.budget[0] -= len(b)
         return self.f.write(b)
 
 
+def fail_writes_after(monkeypatch, budget):
+    """Make the files the package writes raise once ``budget`` bytes, counted
+    across files, have been written."""
+    from mtformer import files
+    left = [budget]
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return _FailingFile(open(file, mode, *args, **kwargs), left)
+
+    monkeypatch.setattr(files, "open", failing_open, raising=False)
+
+
 def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
-    from mtformer import training
     from mtformer.model import init_params
     path = tmp_path / "run.mtck"
     old = init_params(tiny_cfg(), seed=1)
     save_checkpoint(path, old, None, 1, "old")
     before = path.read_bytes()
 
-    def failing_open(file, mode="r", *args, **kwargs):
-        return _FailingFile(open(file, mode, *args, **kwargs), len(before) // 2)
-
-    monkeypatch.setattr(training, "open", failing_open, raising=False)
+    fail_writes_after(monkeypatch, len(before) // 2)
     with pytest.raises(OSError, match="halfway"):
         save_checkpoint(path, init_params(tiny_cfg(), seed=2), None, 2, "new")
     monkeypatch.undo()
@@ -205,6 +214,14 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     path, blob = _valid_ckpt_bytes(tmp_path)
     path.write_bytes(blob[:4] + (99).to_bytes(4, "little") + blob[8:])
     with pytest.raises(FormatError, match="version 99"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_per_task_layout_version_1(tmp_path):
+    # version 1 stored one tensor per task decoder; those files cannot load
+    path, blob = _valid_ckpt_bytes(tmp_path)
+    path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(FormatError, match="version 1"):
         load_checkpoint(path)
 
 
@@ -322,13 +339,31 @@ def test_log_file_is_line_delimited_json(tmp_path):
     assert parsed[-1]["losses"] == res.metrics[-1]["losses"]
 
 
+def test_failed_log_write_keeps_previous_log(tmp_path, monkeypatch):
+    cfg, data = tiny_cfg(), tiny_data()
+    log = tmp_path / "metrics.jsonl"
+    train(cfg, data, tiny_options(steps=2), log_path=log)
+    before = log.read_bytes()
+
+    fail_writes_after(monkeypatch, len(before) // 2)
+    with pytest.raises(OSError, match="halfway"):
+        train(cfg, data, tiny_options(steps=2, seed=8), log_path=log)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl"]
+    assert log.read_bytes() == before
+
+
 def test_check_model_gradients_on_tiny_model():
     from mtformer.model import init_params
     model = init_params(tiny_cfg(), seed=0)
     report = check_model_gradients(model, generate_sample(0, 32),
                                    samples_per_tensor=1, seed=1)
-    assert report["probes"] == len(model.flat)
+    # every task slice of a stacked tensor is probed on its own
+    slices = {name for name in model.flat if name not in model.stacked}
+    slices |= {f"{name}[{t}]" for name in model.stacked for t in model.cfg.tasks}
+    assert report["probes"] == len(slices)
     assert report["max_rel_err"] <= 1e-4
-    assert report["worst_tensor"] in model.flat
+    assert report["worst_tensor"] in slices
     # probing must not leave stale gradients behind
     assert all(p.grad is None for p in model.flat.values())

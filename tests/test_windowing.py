@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtformer import tensor as T
 from mtformer.errors import ConfigurationError, DimensionError
@@ -83,6 +85,67 @@ def test_cyclic_shift_round_trips():
     x = _tokens(5, 5, 2, seed=7)
     np.testing.assert_array_equal(cyclic_unshift(cyclic_shift(x, 2), 2).data, x.data)
     np.testing.assert_array_equal(cyclic_shift(x, 0).data, x.data)
+
+
+# ------------------------------------------------------- random shapes, leading axes
+
+@st.composite
+def _maps(draw):
+    """A random [*lead, H, W, C] map (zero to two leading axes) and a window
+    dividing both sides."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    win = draw(st.integers(1, 4))
+    h, w = win * draw(st.integers(1, 3)), win * draw(st.integers(1, 3))
+    c = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 16))
+    return Tensor(np.random.default_rng(seed).normal(size=lead + (h, w, c))), win
+
+
+def _each_slice(fn, x):
+    """``fn`` applied to every [H, W, C] slice of x, restacked."""
+    lead = x.shape[:-3]
+    flat = x.data.reshape((-1,) + x.shape[-3:])
+    out = np.stack([fn(Tensor(m)).data for m in flat])
+    return out.reshape(lead + out.shape[1:])
+
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+@PROPERTY
+@given(_maps())
+def test_partition_reverse_round_trips_over_random_shapes(case):
+    x, win = case
+    h, w = x.shape[-3:-1]
+    wins = window_partition(x, win)
+    assert wins.shape == x.shape[:-3] + ((h // win) * (w // win), win * win, x.shape[-1])
+    np.testing.assert_array_equal(window_reverse(wins, h, w).data, x.data)
+    np.testing.assert_array_equal(window_partition(window_reverse(wins, h, w), win).data,
+                                  wins.data)
+    # leading axes are carried through: every slice is windowed on its own
+    np.testing.assert_array_equal(wins.data, _each_slice(lambda m: window_partition(m, win), x))
+
+
+@PROPERTY
+@given(_maps(), st.integers(0, 7))
+def test_shift_unshift_round_trips_over_random_shapes(case, shift):
+    x, _ = case
+    np.testing.assert_array_equal(cyclic_unshift(cyclic_shift(x, shift), shift).data, x.data)
+    np.testing.assert_array_equal(cyclic_shift(x, shift).data,
+                                  _each_slice(lambda m: cyclic_shift(m, shift), x))
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2 ** 16))
+def test_stacked_bias_table_gives_per_slice_bias(lead, win, heads, seed):
+    lead = tuple(lead)
+    rows = (2 * win - 1) ** 2
+    table = np.random.default_rng(seed).normal(size=lead + (rows, heads))
+    got = rel_pos_bias(Tensor(table), win).data
+    assert got.shape == lead + (heads, win * win, win * win)
+    for idx in np.ndindex(*lead):
+        np.testing.assert_array_equal(got[idx], rel_pos_bias(Tensor(table[idx]), win).data)
 
 
 # ------------------------------------------------------------------ shift mask
