@@ -19,6 +19,7 @@ from .errors import DimensionError
 from .tensor import (Tensor, add, gelu, matmul, mul, reshape, softmax_lastdim,
                      swapaxes)
 from .tensor import layer_norm as _layer_norm
+from .tensor import linear as _linear
 from .windowing import (WindowGrid, cyclic_shift, cyclic_unshift, rel_pos_bias,
                         shift_mask, window_partition, window_reverse)
 
@@ -53,8 +54,7 @@ class BlockP:
 
 
 def linear(x: Tensor, p: LinearP) -> Tensor:
-    y = matmul(x, p.w)
-    return add(y, p.b) if p.b is not None else y
+    return _linear(x, p.w, p.b)
 
 
 def norm(x: Tensor, p: NormP) -> Tensor:

@@ -42,10 +42,11 @@ class Model:
 class _Builder:
     """Registers parameters in declaration order.  While ``slot`` is (k, K),
     each tensor is slice k of a stacked [K, ...] tensor (vectors become
-    [K, 1, C] so they broadcast over tokens); slice 0 registers it."""
+    [K, 1, C] so they broadcast over tokens); slice 0 registers it.  With
+    ``rng`` None nothing is drawn and every weight is zero."""
 
-    def __init__(self, seed: int, dtype):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, rng: np.random.Generator | None, dtype):
+        self.rng = rng
         self.dtype = dtype
         self.flat: dict = {}
         self.stacked: set = set()
@@ -65,7 +66,7 @@ class _Builder:
             t.data[k] = arr
             return t
         assert name not in self.flat, f"duplicate parameter {name}"
-        t = Tensor(arr.astype(self.dtype), requires_grad=True)
+        t = Tensor(arr.astype(self.dtype, copy=False), requires_grad=True)
         self.flat[name] = t
         return t
 
@@ -79,6 +80,8 @@ class _Builder:
             self.slot = slot
 
     def weight(self, name: str, shape) -> Tensor:
+        if self.rng is None:
+            return self._register(name, np.zeros(shape, dtype=self.dtype))
         # clipped normal, the usual transformer table/projection init
         vals = self.rng.normal(0.0, INIT_STD, size=shape)
         return self._register(name, np.clip(vals, -2 * INIT_STD, 2 * INIT_STD))
@@ -112,8 +115,18 @@ class _Builder:
 def init_params(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> Model:
     """Build all parameters for ``cfg``; same seed and dtype gives bitwise
     identical tensors.  Instantiated sizes always match count_parameters."""
+    return _build(cfg, _Builder(np.random.default_rng(seed), dtype))
+
+
+def empty_params(cfg: ArchConfig, dtype=np.float64) -> Model:
+    """The names, order and shapes of ``init_params(cfg)`` without drawing
+    any random number: weights are zero.  For loaders that overwrite every
+    tensor."""
+    return _build(cfg, _Builder(None, dtype))
+
+
+def _build(cfg: ArchConfig, b: _Builder) -> Model:
     require_valid(cfg)
-    b = _Builder(seed, dtype)
     enc_ch = stage_channels(cfg)
 
     embed = b.linear("patch_embed", 3 * cfg.patch_size ** 2, cfg.base_channels)

@@ -23,35 +23,67 @@ class OptimState:
     v: dict = field(default_factory=dict)
 
 
+# elements per pass of the update: every operand of a pass stays in cache,
+# and the work buffers stay small whatever the largest parameter
+CHUNK = 1 << 15
+
+
 def adamw_step(params: dict, grads: dict, state: OptimState, lr: float) -> None:
     """One bias-corrected Adam update, in place.
 
     Weight decay is decoupled: theta <- theta * (1 - lr * wd) happens
     independently of the gradient term, so a zero gradient with wd > 0
-    still shrinks the parameter by exactly that factor.
+    still shrinks the parameter by exactly that factor.  The update is
+
+        m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g g
+        theta <- theta (1 - lr wd) - lr m_hat / (sqrt(v_hat) + eps)
+
+    with m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t), evaluated in that
+    operation order in the parameter's dtype, CHUNK elements at a time
+    through two reused work buffers.  Parameters and moments must be
+    C-contiguous, as every array the package builds is.
     """
     if lr < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = float(state.beta1), float(state.beta2)
+    lr, eps = float(lr), float(state.eps)
+    bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    decay = 1.0 - lr * float(state.weight_decay)
+    work: dict = {}  # dtype -> two CHUNK-sized buffers
     for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
+        g = np.asarray(grads[name], dtype=p.data.dtype)
+        # min and max are finite exactly when every element is
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise NumericsError(f"non-finite gradient in {name} at optimizer step {t}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data *= 1.0 - lr * state.weight_decay
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        arrays = (p.data, state.m[name], state.v[name])
+        if not all(x.flags.c_contiguous for x in arrays):
+            raise ConfigurationError(f"adamw_step needs C-contiguous arrays for {name}")
+        if p.data.dtype not in work:
+            work[p.data.dtype] = (np.empty(CHUNK, p.data.dtype), np.empty(CHUNK, p.data.dtype))
+        buf_a, buf_b = work[p.data.dtype]
+        flat = [x.reshape(-1) for x in arrays + (g,)]
+        for start in range(0, p.data.size, CHUNK):
+            theta, m, v, gc = (x[start:start + CHUNK] for x in flat)
+            a, b = buf_a[:theta.size], buf_b[:theta.size]
+            m *= b1
+            m += np.multiply(1.0 - b1, gc, out=a)
+            v *= b2
+            np.multiply(1.0 - b2, gc, out=a)
+            a *= gc
+            v += a
+            np.divide(m, bias1, out=a)  # m_hat
+            np.multiply(lr, a, out=a)
+            np.divide(v, bias2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            theta *= decay
+            theta -= a
 
 
 @dataclass(frozen=True)

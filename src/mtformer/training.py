@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, DataError, DimensionError,
                      FormatError, NumericsError)
 from .files import replace_on_success
 from .losses import combine_losses, default_specs, per_task_loss
-from .model import Model, forward, init_params
+from .model import Model, empty_params, forward, init_params
 from .optim import OptimState, ScheduleSpec, adamw_step, lr_schedule
 from .synthetic import dataset_bytes, read_dataset
 from .tensor import Tape, Tensor, mul, zero_grad
@@ -232,10 +232,10 @@ def save_checkpoint(path, model: Model, opt: OptimState | None,
 
 class _Reader:
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.blob = memoryview(blob)  # slices are views, not copies
         self.off = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.blob):
             raise FormatError(f"checkpoint truncated at offset {self.off}, "
                               f"needed {n} more bytes")
@@ -251,7 +251,7 @@ def load_checkpoint(path):
     """Returns (model, optimizer state or None, step, budget hash)."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
-    if r.take(4) != CKPT_MAGIC:
+    if bytes(r.take(4)) != CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic at offset 0 in {path}")
     version, code, step = r.unpack("<IIQ")
     if version != CKPT_VERSION:
@@ -260,19 +260,19 @@ def load_checkpoint(path):
         raise FormatError(f"unknown dtype code {code} at offset 8")
     dt = _CODE_DTYPES[code]
     (cfg_len,) = r.unpack("<I")
-    cfg = cfgmod.from_text(r.take(cfg_len).decode())
+    cfg = cfgmod.from_text(bytes(r.take(cfg_len)).decode())
     (budget_len,) = r.unpack("<I")
-    budget = r.take(budget_len).decode()
+    budget = bytes(r.take(budget_len)).decode()
     (count,) = r.unpack("<I")
 
-    model = init_params(cfg, seed=0, dtype=dt)
+    model = empty_params(cfg, dtype=dt)  # every tensor is filled below
     if count != len(model.flat):
         raise FormatError(f"checkpoint stores {count} tensors, config builds "
                           f"{len(model.flat)}")
     itemsize = np.dtype(dt).itemsize
     for expected_name, p in model.flat.items():
         (nlen,) = r.unpack("<H")
-        name = r.take(nlen).decode()
+        name = bytes(r.take(nlen)).decode()
         if name != expected_name:
             raise FormatError(f"tensor order mismatch: file has {name!r} where "
                               f"{expected_name!r} belongs")
@@ -280,8 +280,7 @@ def load_checkpoint(path):
         shape = r.unpack(f"<{ndim}I")
         if shape != p.data.shape:
             raise FormatError(f"{name} stored as {shape}, config wants {p.data.shape}")
-        n = int(np.prod(shape)) if ndim else 1
-        p.data = np.frombuffer(r.take(n * itemsize), dtype=dt).reshape(shape).copy()
+        p.data[...] = np.frombuffer(r.take(p.data.size * itemsize), dtype=dt).reshape(shape)
 
     (has_opt,) = r.unpack("<B")
     opt = None

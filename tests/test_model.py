@@ -114,17 +114,38 @@ def test_float32_model_computes_in_float32():
     assert all(p.dtype == np.float32 for p in preds.values())
 
 
-def test_taped_sample_records_at_most_850_ops():
-    # the six decoders run as one stacked stream: a per-task loop would tape
-    # 2355 ops for one desk-nano sample
-    cfg = config.preset("desk-nano")
-    m = init_params(cfg, seed=0)
-    sample = generate_sample(0, cfg.img_size)
+def _taped_loss(cfg, m, sample):
     with Tape() as tape:
         preds = forward(m, Tensor(np.asarray(sample.rgb, dtype=np.float64)))
         losses = {t: per_task_loss(t, preds[t], sample.target(t)) for t in cfg.tasks}
         total, _ = combine_losses(losses, default_specs(cfg.tasks))
-    assert len(tape) <= 850, len(tape)
+    return tape, total
+
+
+def test_taped_sample_records_at_most_740_ops():
+    # the six decoders run as one stacked stream (a per-task loop would tape
+    # 2355 ops for one desk-nano sample) and every projection is one fused
+    # linear op (matmul then add would tape 812)
+    cfg = config.preset("desk-nano")
+    tape, _ = _taped_loss(cfg, init_params(cfg, seed=0), generate_sample(0, cfg.img_size))
+    assert len(tape) <= 740, len(tape)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+def test_key_biases_get_exactly_zero_gradient(shared):
+    # q . b_k adds one constant to a whole softmax row, and softmax is shift
+    # invariant: every *.k.bias gradient is zero up to rounding
+    cfg = replace(config.preset("desk-nano"), tasks=("D", "N"), reference_task="D",
+                  shared_attention=shared)
+    m = init_params(cfg, seed=2)
+    tape, total = _taped_loss(cfg, m, generate_sample(3, cfg.img_size))
+    tape.backward(total)
+    largest = max(float(np.abs(p.grad).max()) for p in m.flat.values() if p.grad is not None)
+    key_biases = [n for n in m.flat if n.endswith(".k.bias")]
+    assert any(n.startswith("decoder.") for n in key_biases)
+    assert any(".shared." in n for n in key_biases) == shared
+    for name in key_biases:
+        assert np.abs(m.flat[name].grad).max() <= 1e-20 * largest, name
 
 
 def test_forward_output_contract():

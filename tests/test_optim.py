@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtformer.errors import ConfigurationError, NumericsError
-from mtformer.optim import OptimState, ScheduleSpec, adamw_step, lr_schedule
+from mtformer.optim import CHUNK, OptimState, ScheduleSpec, adamw_step, lr_schedule
 from mtformer.tensor import Tensor
 
 
@@ -116,3 +116,39 @@ def test_schedule_validation():
 def test_degenerate_all_warmup_schedule():
     spec = ScheduleSpec(total_steps=5, warmup_steps=5, peak_lr=1e-3)
     assert lr_schedule(5, spec) == 1e-3
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adamw_matches_reference_formula_bitwise(dtype):
+    # the update written out with fresh temporaries, as plain numpy
+    rng = np.random.default_rng(11)
+    # "long" spans more than one CHUNK, so the update runs in several passes
+    shapes = {"w": (3, 4), "stack": (2, 1, 4), "b": (4,), "long": (2, CHUNK // 2 + 3)}
+    init = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    params = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+    state = OptimState(weight_decay=0.05)
+    ref = {k: v.copy() for k, v in init.items()}
+    m = {k: np.zeros_like(v) for k, v in init.items()}
+    v2 = {k: np.zeros_like(v) for k, v in init.items()}
+    b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.05
+    for t in range(1, 6):
+        lr = 0.01 * t
+        grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        adamw_step(params, grads, state, lr)
+        for k, g in grads.items():
+            m[k] = m[k] * b1 + (1.0 - b1) * g
+            v2[k] = v2[k] * b2 + (1.0 - b2) * g * g
+            m_hat = m[k] / (1.0 - b1 ** t)
+            v_hat = v2[k] / (1.0 - b2 ** t)
+            ref[k] = ref[k] * (1.0 - lr * wd) - lr * m_hat / (np.sqrt(v_hat) + eps)
+    for k in shapes:
+        assert params[k].data.dtype == dtype
+        assert params[k].data.tobytes() == ref[k].tobytes(), k
+        assert state.m[k].tobytes() == m[k].tobytes(), k
+        assert state.v[k].tobytes() == v2[k].tobytes(), k
+
+
+def test_adamw_rejects_non_contiguous_parameters():
+    # a flat view of a transposed array would be a copy and drop the update
+    p = {"w": Tensor(np.arange(6.0).reshape(2, 3).T, requires_grad=True)}
+    with pytest.raises(ConfigurationError, match="C-contiguous"):
+        adamw_step(p, {"w": np.ones((3, 2))}, OptimState(), lr=0.1)

@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from mtformer import tensor as T
 from mtformer.errors import ConfigurationError, DataError, DimensionError, OracleError
@@ -149,6 +152,10 @@ def _probe_cases():
         ("pow", lambda x: T.sum_(T.pow_(T.add(x, 2.0), 1.5)), (4, 3)),
         ("matmul_left", lambda x: T.sum_(T.matmul(x, Tensor(w))), (5, 3)),
         ("matmul_batched", lambda x: T.sum_(T.matmul(T.reshape(x, (2, 2, 3)), Tensor(w))), (4, 3)),
+        ("linear_broadcast_bias", lambda x: T.sum_(T.mul(
+            T.linear(x, Tensor(w), Tensor(w2[:2, :1])), Tensor(w2[:2, :5]))), (5, 3)),
+        ("linear_bias", lambda b: T.sum_(T.mul(
+            T.linear(Tensor(w2[0, :5]), Tensor(w), b), Tensor(w2[:2, :5]))), (2, 1, 3)),
         ("reshape", lambda x: T.sum_(T.mul(T.reshape(x, (2, 6)), 1.5)), (3, 4)),
         ("transpose", lambda x: T.sum_(T.mul(T.transpose(x, (1, 0, 2)), Tensor(w2))), (6, 4, 3)),
         ("roll", lambda x: T.sum_(T.mul(T.roll(x, (1, 2), (0, 1)), Tensor(w2))), (4, 6, 3)),
@@ -256,6 +263,35 @@ def test_backward_accumulates_additively():
     np.testing.assert_array_equal(x.grad, 2.0 * once)
     T.zero_grad([x])
     assert x.grad is None
+
+
+def test_second_backward_accumulates_into_grad_bitwise():
+    rng = np.random.default_rng(14)
+    x = _rand(rng, 3, 4)
+    w = Tensor(rng.normal(size=(4, 4)))
+    with Tape() as tape:
+        loss = T.sum_(T.gelu(T.matmul(x, w)))
+        tape.backward(loss)
+        g1 = x.grad.copy()
+        held = x.grad
+        tape.backward(loss)
+    assert x.grad is held, ".grad is an accumulator, updated in place"
+    assert x.grad.tobytes() == (g1 + g1).tobytes()
+
+
+def test_one_gradient_array_reaching_two_leaves_gives_distinct_grads():
+    # add hands the same upstream array to both operands; each leaf must
+    # still get its own .grad, or accumulation would add into both at once
+    a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    b = Tensor(np.array([0.5, 0.25, -1.0]), requires_grad=True)
+    up = Tensor(np.array([2.0, -1.0, 0.5]))
+    with Tape() as tape:
+        loss = T.sum_(T.mul(T.add(a, b), up))
+        tape.backward(loss)
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        tape.backward(loss)
+    np.testing.assert_array_equal(a.grad, 2.0 * up.data)
+    np.testing.assert_array_equal(b.grad, 2.0 * up.data)
 
 
 def test_replay_is_bitwise_deterministic():
@@ -369,3 +405,161 @@ def test_operator_sugar_matches_functions():
     np.testing.assert_array_equal((a ** 2).data, T.pow_(a, 2).data)
     np.testing.assert_array_equal(a.sum().data, T.sum_(a).data)
     np.testing.assert_array_equal(a.mean(axis=0).data, T.mean(a, axis=0).data)
+
+
+# ------------------------------------------- kernels against their plain form
+# Each kernel must compute bitwise what its plain numpy expression computes,
+# forward and backward; the oracles below are those expressions, written
+# out without in-place updates or reused buffers.
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+DTYPES = st.sampled_from([np.float64, np.float32])
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape, (got.dtype, got.shape,
+                                                                 want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes(), np.abs(got - want).max()
+
+
+def _sum_to(g, shape):
+    """Sum ``g`` down to ``shape``: leading axes first, then size-1 axes."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _value_and_grads(fn, inputs, upstream):
+    """``fn(*inputs)`` and each input's gradient when the op's own backward
+    receives exactly ``upstream`` (the loss is sum(out * upstream))."""
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    with Tape() as tape:
+        out = fn(*leaves)
+        tape.backward(T.sum_(T.mul(out, Tensor(upstream))))
+    return out.data, [t.grad for t in leaves]
+
+
+def _normal(rng, shape, dtype):
+    return rng.normal(size=shape).astype(dtype)
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 3), max_size=3), st.integers(1, 33), st.floats(0.0, 0.5),
+       DTYPES, st.integers(0, 2 ** 16))
+def test_softmax_matches_plain_expression(lead, n, masked, dtype, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (n,)
+    x = _normal(rng, shape, dtype) * dtype(4.0)
+    x[rng.uniform(size=shape) < masked] = -1e9  # the shift mask's blocked logits
+    g = _normal(rng, shape, dtype)
+    y, (gx,) = _value_and_grads(T.softmax_lastdim, [x], g)
+
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    _assert_bitwise(y, want)
+    _assert_bitwise(gx, (g - (g * want).sum(axis=-1, keepdims=True)) * want)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 17), st.booleans(), DTYPES,
+       st.integers(0, 2 ** 16))
+def test_layer_norm_matches_plain_expression(k, n, c, stacked, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = _normal(rng, (k, n, c), dtype)
+    pshape = (k, 1, c) if stacked else (c,)
+    gamma, beta = _normal(rng, pshape, dtype), _normal(rng, pshape, dtype)
+    g = _normal(rng, x.shape, dtype)
+    eps = 1e-5
+    y, (gx, ggamma, gbeta) = _value_and_grads(
+        lambda a, s, b: T.layer_norm(a, s, b, eps), [x, gamma, beta], g)
+
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    _assert_bitwise(y, xhat * gamma + beta)
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    _assert_bitwise(gx, inv * (dxhat - m1 - xhat * m2))
+    _assert_bitwise(ggamma, _sum_to(g * xhat, pshape))
+    _assert_bitwise(gbeta, _sum_to(g, pshape))
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.booleans(),
+       st.sampled_from(["none", "plain", "stacked"]), DTYPES, st.integers(0, 2 ** 16))
+def test_linear_matches_matmul_then_add(k, n, c_in, c_out, stacked_w, bias, dtype, seed):
+    # an unstacked x against a stacked weight is the decoders' fuse layer; a
+    # stacked bias on an unstacked product widens the result past the product
+    rng = np.random.default_rng(seed)
+    x = _normal(rng, (n, c_in), dtype)
+    w = _normal(rng, (k, c_in, c_out) if stacked_w else (c_in, c_out), dtype)
+    inputs = [x, w]
+    if bias != "none":
+        inputs.append(_normal(rng, (k, 1, c_out) if bias == "stacked" else (c_out,), dtype))
+    product = x @ w
+    want = product + inputs[2] if bias != "none" else product
+    g = _normal(rng, want.shape, dtype)
+    y, grads = _value_and_grads(T.linear, inputs, g)
+
+    _assert_bitwise(y, want)
+    gp = _sum_to(g, product.shape)
+    _assert_bitwise(grads[0], _sum_to(gp @ w.swapaxes(-1, -2), x.shape))
+    _assert_bitwise(grads[1], _sum_to(x.swapaxes(-1, -2) @ gp, w.shape))
+    if bias != "none":
+        _assert_bitwise(grads[2], _sum_to(g, inputs[2].shape))
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), DTYPES, st.integers(0, 2 ** 16))
+def test_gelu_matches_plain_expression(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = _normal(rng, tuple(shape), dtype) * dtype(3.0)
+    g = _normal(rng, x.shape, dtype)
+    y, (gx,) = _value_and_grads(T.gelu, [x], g)
+
+    phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    _assert_bitwise(y, x * phi)
+    density = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    _assert_bitwise(gx, g * (phi + x * density))
+
+
+def test_kernels_promote_like_their_plain_expressions():
+    # mixed dtypes promote part way through the plain expressions; in-place
+    # steps must not round the wider intermediate back to the narrow dtype
+    rng = np.random.default_rng(21)
+    x = _normal(rng, (5, 7), np.float32)
+    g = rng.normal(size=(5, 7))
+    # float32 GELU under a float64 gradient that flows on through mul
+    _, (gx,) = _value_and_grads(lambda a: T.gelu(T.mul(a, 3.0)), [x], g)
+    xs = x * np.float32(3.0)
+    phi = 0.5 * (1.0 + erf(xs / math.sqrt(2.0)))
+    density = np.exp(-0.5 * xs * xs) * (1.0 / math.sqrt(2.0 * math.pi))
+    _assert_bitwise(gx, (g * (phi + xs * density) * np.float32(3.0)).astype(np.float32))
+
+    # float32 input, float64 scale and shift
+    gamma, beta = rng.normal(size=7), rng.normal(size=7)
+    y = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+    centered = x - x.mean(axis=-1, keepdims=True)
+    xhat = centered * (1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5))
+    _assert_bitwise(y, xhat * gamma + beta)
+
+    # float32 product, float64 bias
+    w = _normal(rng, (7, 3), np.float32)
+    b = rng.normal(size=3)
+    _assert_bitwise(T.linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+
+
+def test_take_rows_single_row_gradient_matches_scatter_add():
+    # a 0-d index (a task slice) writes its row; np.add.at would add it to 0
+    g = np.array([[-0.0, 1.5], [2.0, -3.0]])
+    _, (gt,) = _value_and_grads(lambda t: T.take_rows(t, np.int64(1)), [np.ones((3, 2, 2))], g)
+    want = np.zeros((3, 2, 2))
+    np.add.at(want, np.int64(1), g)
+    _assert_bitwise(gt, want)

@@ -111,6 +111,23 @@ def test_checkpoint_roundtrip(tmp_path):
     assert evaluate(model, data) == res.metrics[-1]["losses"]
 
 
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    cfg, data = tiny_cfg(), tiny_data()
+    ckpt = tmp_path / "run.mtck"
+    res = train(cfg, data, tiny_options(), ckpt_path=ckpt)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading a checkpoint must not draw an initialization")
+
+    monkeypatch.setattr("mtformer.model.np.random.default_rng", no_draws)
+    model, opt, _, _ = load_checkpoint(ckpt)
+    assert list(model.flat) == list(res.model.flat)
+    for name, p in res.model.flat.items():
+        assert model.flat[name].data.tobytes() == p.data.tobytes(), name
+        assert opt.m[name].tobytes() == res.optim.m[name].tobytes(), name
+        assert opt.v[name].tobytes() == res.optim.v[name].tobytes(), name
+
+
 def test_evaluate_accepts_checkpoint_path(tmp_path):
     cfg, data = tiny_cfg(), tiny_data()
     ckpt = tmp_path / "run.mtck"

@@ -1,0 +1,143 @@
+"""Check that the working tree computes bitwise what another revision computes.
+
+    python tools/parent_equivalence.py <rev>      # e.g. HEAD~ or main
+
+Extracts ``src/`` of ``<rev>`` with ``git archive`` into a temporary
+directory, then runs the same worker twice, in two subprocesses: once
+against that copy and once against this checkout's ``src/``.  Each worker
+computes, on the desk-nano preset with seed 0 and BLAS pinned to one thread:
+
+* one taped sample (forward, combined loss, backward) in each of the four
+  configs float64/float32 x shared/unshared attention, keeping the six task
+  predictions and every parameter gradient;
+* a 3-step ``train`` run (float64, shared attention, batch 4, two scenes),
+  keeping the trained parameters and both AdamW moments.
+
+It prints, per group, how many tensors are bitwise equal and the largest
+relative difference max|a - b| / max|a| over the group, then one line per
+tensor that is not bitwise equal.  Exit status 0 means every tensor is
+bitwise equal (same dtype, shape and bytes).
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = [(dt, shared) for dt in ("float64", "float32") for shared in (True, False)]
+TRAIN_STEPS = 3
+
+
+def _worker(out_path: str) -> None:
+    """Compute every compared tensor with whichever ``mtformer`` is on the path."""
+    from dataclasses import replace
+
+    from mtformer import config, training
+    from mtformer.losses import combine_losses, default_specs, per_task_loss
+    from mtformer.model import forward, init_params
+    from mtformer.synthetic import generate_dataset, generate_sample
+    from mtformer.tensor import Tape, Tensor
+
+    arrays = {}
+    base = config.preset("desk-nano")
+    sample = generate_sample(0, base.img_size)
+    for dt, shared in CONFIGS:
+        cfg = replace(base, shared_attention=shared)
+        tag = f"{dt}-{'shared' if shared else 'unshared'}"
+        model = init_params(cfg, seed=0, dtype=np.dtype(dt))
+        with Tape() as tape:
+            preds = forward(model, Tensor(np.asarray(sample.rgb, dtype=dt)))
+            losses = {t: per_task_loss(t, preds[t], sample.target(t)) for t in cfg.tasks}
+            total, _ = combine_losses(losses, default_specs(cfg.tasks))
+            tape.backward(total)
+        for t, p in preds.items():
+            arrays[f"{tag} predictions/{t}"] = p.data
+        for name, p in model.flat.items():
+            arrays[f"{tag} gradients/{name}"] = p.grad if p.grad is not None else np.zeros_like(p.data)
+
+    scenes = generate_dataset(2, base.img_size, base_seed=0)
+    result = training.train(base, scenes, training.RunOptions(steps=TRAIN_STEPS, seed=0))
+    for name, p in result.model.flat.items():
+        arrays[f"train parameters/{name}"] = p.data
+        arrays[f"train first moments/{name}"] = result.optim.m[name]
+        arrays[f"train second moments/{name}"] = result.optim.v[name]
+    np.savez(out_path, **arrays)
+
+
+def _run_worker(src: Path, out: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, __file__, "--worker", str(out)], env=env, check=True)
+    with np.load(out) as f:
+        return {k: f[k] for k in f.files}
+
+
+def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+    if a.shape != b.shape:
+        return float("inf")
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    diff = float(np.abs(a.astype(np.float64) - b.astype(np.float64)).max()) if a.size else 0.0
+    return diff / scale if scale else diff
+
+
+def compare(parent: dict, change: dict) -> bool:
+    groups: dict = {}
+    for key in sorted(set(parent) | set(change)):
+        groups.setdefault(key.split("/", 1)[0], []).append(key)
+    all_equal = True
+    for group, keys in groups.items():
+        equal, worst, lines = 0, 0.0, []
+        for key in keys:
+            if key not in parent or key not in change:
+                lines.append(f"    {key.split('/', 1)[1]}: only in "
+                             f"{'the parent' if key in parent else 'this checkout'}")
+                continue
+            a, b = parent[key], change[key]
+            if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+                equal += 1
+                continue
+            rel = _rel_diff(a, b)
+            worst = max(worst, rel)
+            lines.append(f"    {key.split('/', 1)[1]}: max relative difference {rel:.3g}")
+        verdict = "bitwise equal" if equal == len(keys) else "DIFFERENT"
+        print(f"{group}: {equal}/{len(keys)} tensors bitwise equal, "
+              f"max relative difference {worst:.3g} -> {verdict}")
+        if lines:
+            print("\n".join(lines))
+        all_equal &= equal == len(keys)
+    return all_equal
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev", nargs="?", help="git revision to compare against, e.g. HEAD~")
+    ap.add_argument("--worker", metavar="OUT", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        _worker(args.worker)
+        return 0
+    if not args.rev:
+        ap.error("a revision is required")
+    with tempfile.TemporaryDirectory(prefix="parent-equivalence-") as tmp:
+        tmp = Path(tmp)
+        blob = subprocess.run(["git", "-C", str(REPO), "archive", args.rev, "src"],
+                              check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+            tar.extractall(tmp / "parent", filter="data")
+        print(f"parent: {args.rev} ({tmp / 'parent' / 'src'}); change: {REPO / 'src'}")
+        parent = _run_worker(tmp / "parent" / "src", tmp / "parent.npz")
+        change = _run_worker(REPO / "src", tmp / "change.npz")
+        return 0 if compare(parent, change) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
