@@ -113,7 +113,7 @@ def ablate(cfg: ArchConfig, data, options: RunOptions, subsets=None,
                         raise ConfigurationError(
                             f"budget hash mismatch between {t} baseline and "
                             f"{'+'.join(subset)} run; rows are not comparable")
-                    relative[t] = relative_performance(single, finals[t])
+                    relative[t] = relative_performance(finals[t], single)
                 rows.append(AblationReport(
                     run=f"r{len(rows):02d}-{''.join(subset)}-{'on' if shared else 'off'}",
                     preset=label,

@@ -52,8 +52,7 @@ def _options(args) -> RunOptions:
     return RunOptions(steps=args.steps, batch_size=args.batch, seed=args.seed,
                       peak_lr=args.lr, warmup_steps=args.warmup,
                       floor_lr=args.floor_lr, weight_decay=args.weight_decay,
-                      dtype=args.dtype, balance=args.balance,
-                      checkpoint_every=getattr(args, "checkpoint_every", 0))
+                      dtype=args.dtype, balance=args.balance)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", help="per-step metrics file, one JSON record per line")
-    p.add_argument("--checkpoint-every", type=int, default=0)
 
     p = sub.add_parser("eval", help="per-task mean losses of a checkpoint")
     p.add_argument("--ckpt", required=True)

@@ -204,14 +204,11 @@ def count_parameters(cfg: ArchConfig) -> ParamCount:
         for i in range(4):
             ci = dec_ch[i]
             ratio = cfg.decoder_mlp_ratio
-            n += linear_params(ci, ci)  # additive skip fusion
-            n += _block_params(ci, cfg.decoder_heads[i], cfg.window, ratio)  # block 1, self attention
-            # block 2 per task part: norms, value and out projections, MLP
-            n += (_norm_params(ci) + linear_params(ci, ci) + linear_params(ci, ci)
-                  + _norm_params(ci) + linear_params(ci, ratio * ci) + linear_params(ratio * ci, ci))
-            cross = 2 * linear_params(ci, ci) + _table_params(cfg.window, cfg.decoder_heads[i])
-            if not cfg.shared_attention or t == cfg.reference_task:
-                n += cross  # q/k and bias table, once per stage when shared
+            block = _block_params(ci, cfg.decoder_heads[i], cfg.window, ratio)
+            n += linear_params(ci, ci) + 2 * block  # additive skip fusion, two blocks
+            if cfg.shared_attention and t != cfg.reference_task:
+                # block 2 borrows the reference task's q/k and bias table
+                n -= 2 * linear_params(ci, ci) + _table_params(cfg.window, cfg.decoder_heads[i])
             if i < 3:
                 n += linear_params(ci, 2 * ci, bias=False)  # patch expand
         decoders[t] = n

@@ -4,10 +4,12 @@ Every task runs its own four stage decoder over the encoder pyramid, deepest
 skip first.  The K = len(cfg.tasks) decoders run as one stacked stream: token
 maps are [K, N, C] and every task-owned parameter carries a leading task
 axis, slice k belonging to ``cfg.tasks[k]``.  A stage fuses the skip
-additively, runs a self-attention block on regular windows, then a
-shared-attention block on shifted windows: the attention probabilities are
-computed once from the skip feature using the reference task's query/key
-projections (one unstacked bundle) and applied to every task's values.
+additively, then runs two attention blocks of the one block type: a
+self-attention block on regular windows and a block on shifted windows.
+With shared attention on, the second block takes its probabilities from
+outside: they are computed once from the skip feature using the reference
+task's query/key projections (one unstacked bundle) and applied to every
+task's values.
 Three patch expansions restore the grid to 1/4 resolution; per-task heads
 upsample twice more and map to task channels.
 """
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 from .config import ArchConfig, decoder_channels, task_channels
 from .errors import ConfigurationError, DimensionError
-from .layers import (BlockP, LinearP, NormP, apply_attention, attention_block,
-                     attention_weights, linear, mlp, norm, shifted_windows)
+from .layers import (BlockP, LinearP, attention_block, attention_weights, linear,
+                     shifted_windows)
 from .tensor import (Tensor, add, div, matmul, mul, reshape, sigmoid,
                      softmax_lastdim, sqrt, sum_, swapaxes)
 from .windowing import WindowGrid
@@ -36,22 +38,10 @@ class SharedP:
 
 
 @dataclass
-class Block2P:
-    """Task-owned half of a shared-attention block (no q/k, no bias table)."""
-
-    ln1: NormP
-    v: LinearP
-    out: LinearP
-    ln2: NormP
-    fc1: LinearP
-    fc2: LinearP
-
-
-@dataclass
 class StageP:
     fuse: LinearP
     block1: BlockP
-    block2: object  # Block2P when sharing, full BlockP otherwise
+    block2: BlockP  # q, k and table None when sharing
     shared: SharedP | None  # set exactly when sharing
     expand: Tensor | None  # bias-free [K, C, 2C]; None after the last stage
 
@@ -86,20 +76,18 @@ def patch_expand(x: Tensor, side: int, w: Tensor) -> Tensor:
     return reshape(swapaxes(t, -4, -3), lead + (4 * n, c // 2))
 
 
-def shared_attention(x: Tensor, skip: Tensor, shared: SharedP, block: Block2P,
+def shared_attention(x: Tensor, skip: Tensor, shared: SharedP, block: BlockP,
                      grid: WindowGrid) -> Tensor:
     """Shared-attention block on shifted windows for a stack x [K, N, C].
 
     One probability map A comes from the raw skip [N, C] through the
-    reference q/k and bias table; every stream k then gets the pre-norm
-    skeleton y = x + Out_k(A V_k(LN_k(x))), y + MLP_k(LN_k(y)) with the same A.
+    reference q/k and bias table; ``block`` then runs on every stream k with
+    that A in place of its own q/k map.
     """
-    weights = attention_weights(shifted_windows(skip, grid, grid.shift),
-                                shared.q, shared.k, shared.table, grid, grid.shift)
-    wins = shifted_windows(norm(x, block.ln1), grid, grid.shift)
-    y = add(x, apply_attention(weights, wins, block.v, block.out, grid, grid.shift))
-    del wins, weights  # untaped, this frees them before the MLP's wide hidden layer
-    return add(y, mlp(norm(y, block.ln2), block.fc1, block.fc2))
+    # passed without a local name, so the block can free A before its MLP
+    return attention_block(x, block, grid, shifted=True, weights=attention_weights(
+        shifted_windows(skip, grid, grid.shift), shared.q, shared.k, shared.table,
+        grid, grid.shift))
 
 
 def decoder_stage(x: Tensor, skip: Tensor, stage: StageP, grid: WindowGrid) -> Tensor:

@@ -4,10 +4,11 @@ Blocks run on flat token sequences [..., N, C]; the window geometry reshapes
 to [..., H, W, C] internally.  Leading axes carry independent streams (the
 decoders' task axis); a parameter either has no leading axes and is shared
 by every stream, or carries the same leading axes and holds one slice per
-stream: weights [..., C, C'], vectors [..., 1, C].  Attention weights and
-attention application are kept separate so the shared attention block can
-compute one probability map from the reference projections and apply it to
-every task's values.
+stream: weights [..., C, C'], vectors [..., 1, C].  There is one block
+type, ``BlockP``, and one block function, ``attention_block``.  Attention
+weights and their application are separate steps so that a block can take
+its probability map from outside: the decoders' shared attention computes
+one map from the reference projections and hands it to every task's block.
 """
 
 from __future__ import annotations
@@ -40,14 +41,17 @@ class NormP:
 
 @dataclass
 class BlockP:
-    """Pre-norm attention block: LN, windowed MHA, LN, two layer MLP."""
+    """Pre-norm attention block: LN, windowed MHA, LN, two layer MLP.
+
+    ``q``, ``k`` and ``table`` are None in a block whose attention map is
+    always supplied from outside (a shared-attention block)."""
 
     ln1: NormP
-    q: LinearP
-    k: LinearP
+    q: LinearP | None
+    k: LinearP | None
     v: LinearP
     out: LinearP
-    table: Tensor  # relative position bias table [..., (2*win-1)^2, heads]
+    table: Tensor | None  # relative position bias table [..., (2*win-1)^2, heads]
     ln2: NormP
     fc1: LinearP
     fc2: LinearP
@@ -137,15 +141,19 @@ def apply_attention(weights: Tensor, wins: Tensor, v: LinearP, out: LinearP,
     return reshape(y, tuple(lead) + (grid.h * grid.w, c))
 
 
-def attention_block(x: Tensor, p: BlockP, grid: WindowGrid, shifted: bool) -> Tensor:
+def attention_block(x: Tensor, p: BlockP, grid: WindowGrid, shifted: bool,
+                    weights: Tensor | None = None) -> Tensor:
     """y = x + WMSA(LN(x)); y = y + MLP(LN(y)).  Shifted blocks roll and mask.
 
     The normalized map is shifted and windowed once; the attention weights
-    and their application share those windows.
+    and their application share those windows.  ``weights`` [..., nW, heads,
+    T, T], computed on the same window layout, replace the block's own q/k
+    map.
     """
     shift = grid.shift if shifted else 0
     wins = shifted_windows(norm(x, p.ln1), grid, shift)
-    weights = attention_weights(wins, p.q, p.k, p.table, grid, shift)
+    if weights is None:
+        weights = attention_weights(wins, p.q, p.k, p.table, grid, shift)
     x = add(x, apply_attention(weights, wins, p.v, p.out, grid, shift))
     del wins, weights  # untaped, this frees them before the MLP's wide hidden layer
     return add(x, mlp(norm(x, p.ln2), p.fc1, p.fc2))

@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import (ArchConfig, count_parameters, decoder_channels,
                      require_valid, stage_channels, task_channels)
-from .decoder import (Block2P, DecoderParams, HeadP, SharedP, StageP, decode,
-                      task_head)
+from .decoder import DecoderParams, HeadP, SharedP, StageP, decode, task_head
 from .encoder import EncoderParams, MergeP, encode
+from .errors import ConfigurationError
 from .layers import BlockP, LinearP, NormP
 from .tensor import Tensor, take_rows
 
@@ -43,14 +43,23 @@ class _Builder:
     """Registers parameters in declaration order.  While ``slot`` is (k, K),
     each tensor is slice k of a stacked [K, ...] tensor (vectors become
     [K, 1, C] so they broadcast over tokens); slice 0 registers it.  With
-    ``rng`` None nothing is drawn and every weight is zero."""
+    ``rng`` None nothing is drawn and every weight is zero.  Every attention
+    block is a ``BlockP``; the shared-attention bundles its owner registers
+    are collected in ``shared``, keyed by name prefix."""
 
     def __init__(self, rng: np.random.Generator | None, dtype):
         self.rng = rng
         self.dtype = dtype
         self.flat: dict = {}
         self.stacked: set = set()
+        self.shared: dict = {}
         self.slot = None
+
+    def _new(self, name: str, arr: np.ndarray) -> Tensor:
+        if name in self.flat:
+            raise ConfigurationError(f"duplicate parameter {name}")
+        self.flat[name] = Tensor(arr, requires_grad=True)
+        return self.flat[name]
 
     def _register(self, name: str, arr: np.ndarray) -> Tensor:
         if self.slot is not None:
@@ -58,17 +67,12 @@ class _Builder:
             if arr.ndim == 1:
                 arr = arr[None]
             if k == 0:
-                assert name not in self.flat, f"duplicate parameter {name}"
-                self.flat[name] = Tensor(np.zeros((K,) + arr.shape, dtype=self.dtype),
-                                         requires_grad=True)
+                self._new(name, np.zeros((K,) + arr.shape, dtype=self.dtype))
                 self.stacked.add(name)
             t = self.flat[name]
             t.data[k] = arr
             return t
-        assert name not in self.flat, f"duplicate parameter {name}"
-        t = Tensor(arr.astype(self.dtype, copy=False), requires_grad=True)
-        self.flat[name] = t
-        return t
+        return self._new(name, arr.astype(self.dtype, copy=False))
 
     @contextmanager
     def unstacked(self):
@@ -98,18 +102,33 @@ class _Builder:
     def table(self, name: str, window: int, heads: int) -> Tensor:
         return self.weight(name, ((2 * window - 1) ** 2, heads))
 
-    def block(self, name: str, c: int, heads: int, window: int, ratio: int) -> BlockP:
-        return BlockP(
-            ln1=self.norm(f"{name}.ln1", c),
-            q=self.linear(f"{name}.q", c, c),
-            k=self.linear(f"{name}.k", c, c),
-            v=self.linear(f"{name}.v", c, c),
-            out=self.linear(f"{name}.out", c, c),
-            table=self.table(f"{name}.bias_table", window, heads),
-            ln2=self.norm(f"{name}.ln2", c),
-            fc1=self.linear(f"{name}.fc1", c, ratio * c),
-            fc2=self.linear(f"{name}.fc2", ratio * c, c),
-        )
+    def block(self, name: str, c: int, heads: int, window: int, ratio: int,
+              shared: str | None = None, owner: bool = False) -> BlockP:
+        """A full block, or with ``shared`` set a block whose attention map
+        comes from the ``SharedP`` bundle at that prefix: the block leaves q,
+        k and table None, and the ``owner`` registers the bundle unstacked
+        in the slots where a full block draws its own."""
+
+        def attn(make, part: str, *shape):
+            if shared is None:
+                return make(f"{name}.{part}", *shape)
+            if owner:
+                with self.unstacked():
+                    return make(f"{shared}.{part}", *shape)
+            return None
+
+        ln1 = self.norm(f"{name}.ln1", c)
+        q, k = attn(self.linear, "q", c, c), attn(self.linear, "k", c, c)
+        v, out = self.linear(f"{name}.v", c, c), self.linear(f"{name}.out", c, c)
+        table = attn(self.table, "bias_table", window, heads)
+        if shared is not None:
+            if owner:
+                self.shared[shared] = SharedP(q, k, table)
+            q = k = table = None
+        return BlockP(ln1, q, k, v, out, table,
+                      ln2=self.norm(f"{name}.ln2", c),
+                      fc1=self.linear(f"{name}.fc1", c, ratio * c),
+                      fc2=self.linear(f"{name}.fc2", ratio * c, c))
 
 
 def init_params(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> Model:
@@ -146,7 +165,6 @@ def _build(cfg: ArchConfig, b: _Builder) -> Model:
     # random draws keep the per-task order (task outer), each into its slice
     dec_ch = decoder_channels(cfg)
     ratio = cfg.decoder_mlp_ratio
-    shared: list = [None] * 4
     for k, t in enumerate(cfg.tasks):
         b.slot = (k, len(cfg.tasks))
         init = b.linear("decoder.init", dec_ch[0], dec_ch[0])
@@ -156,34 +174,16 @@ def _build(cfg: ArchConfig, b: _Builder) -> Model:
             base = f"decoder.s{i}"
             fuse = b.linear(f"{base}.fuse", ci, ci)
             block1 = b.block(f"{base}.b1", ci, cfg.decoder_heads[i], cfg.window, ratio)
-            if cfg.shared_attention:
-                is_ref = t == cfg.reference_task
-                ln1 = b.norm(f"{base}.b2.ln1", ci)
-                if is_ref:
-                    with b.unstacked():
-                        qk = (b.linear(f"{base}.shared.q", ci, ci),
-                              b.linear(f"{base}.shared.k", ci, ci))
-                v = b.linear(f"{base}.b2.v", ci, ci)
-                out = b.linear(f"{base}.b2.out", ci, ci)
-                if is_ref:
-                    with b.unstacked():
-                        shared[i] = SharedP(*qk, b.table(f"{base}.shared.bias_table",
-                                                         cfg.window, cfg.decoder_heads[i]))
-                block2 = Block2P(
-                    ln1=ln1, v=v, out=out,
-                    ln2=b.norm(f"{base}.b2.ln2", ci),
-                    fc1=b.linear(f"{base}.b2.fc1", ci, ratio * ci),
-                    fc2=b.linear(f"{base}.b2.fc2", ratio * ci, ci),
-                )
-            else:
-                block2 = b.block(f"{base}.b2", ci, cfg.decoder_heads[i], cfg.window, ratio)
+            block2 = b.block(f"{base}.b2", ci, cfg.decoder_heads[i], cfg.window, ratio,
+                             shared=f"{base}.shared" if cfg.shared_attention else None,
+                             owner=t == cfg.reference_task)
             expand = b.weight(f"decoder.expand{i}.weight", (ci, 2 * ci)) if i < 3 else None
             dec_stages.append(StageP(fuse, block1, block2, None, expand))
         if k == 0:
             decoder = DecoderParams(init, dec_stages)
     b.slot = None
-    for stage, bundle in zip(decoder.stages, shared):
-        stage.shared = bundle
+    for i, stage in enumerate(decoder.stages):
+        stage.shared = b.shared.get(f"decoder.s{i}.shared")
 
     heads = {}
     c = cfg.base_channels
@@ -204,7 +204,8 @@ def _build(cfg: ArchConfig, b: _Builder) -> Model:
     model = Model(cfg, b.flat, encoder, decoder, heads, frozenset(b.stacked))
     expected = count_parameters(cfg).total
     actual = model.parameter_count()
-    assert actual == expected, f"built {actual} parameters, accounting says {expected}"
+    if actual != expected:
+        raise ConfigurationError(f"built {actual} parameters, accounting says {expected}")
     return model
 
 

@@ -11,10 +11,10 @@ private copy, later backward passes add into that same array in place, so
 call :func:`zero_grad` between optimizer steps.
 
 Everything here is single threaded.  Tensors are treated as immutable once
-created; the finite-difference checker perturbs its probe tensor in place,
-which is the one sanctioned exception.  Kernels write in place only into
-arrays they allocated themselves, never into an input or an incoming
-gradient, which other records may share.
+created; the finite-difference probe perturbs one element in place and
+restores it, which is the one sanctioned exception.  Kernels write in place
+only into arrays they allocated themselves, never into an input or an
+incoming gradient, which other records may share.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from scipy.special import erf, expit
 from .errors import ConfigurationError, DataError, DimensionError, OracleError
 
 __all__ = [
-    "Tensor", "Tape", "add", "sub", "mul", "div", "neg", "pow_", "matmul", "linear",
+    "Tensor", "Tape", "add", "sub", "mul", "div", "neg", "matmul", "linear",
     "reshape", "transpose", "swapaxes", "roll", "sum_", "mean", "exp", "log", "sqrt",
     "abs_", "sigmoid", "softmax_lastdim", "layer_norm", "gelu", "take_rows",
-    "gather_lastdim", "grad_check", "zero_grad",
+    "gather_lastdim", "central_difference", "grad_check", "zero_grad",
 ]
 
 
@@ -72,7 +72,7 @@ class Tape:
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
-            raise ValueError("loss does not depend on any tensor that requires grad")
+            raise DataError("loss does not depend on any tensor that requires grad")
         seed = np.ones_like(loss.data)
         grads = {id(loss): (loss, seed)}
         for out, parents, backward in reversed(self._records):
@@ -119,61 +119,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(()))
-
-    def backward(self) -> int:
-        if Tape.current is None:
-            raise ValueError("backward() needs an active Tape")
-        return Tape.current.backward(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # operator sugar; all arithmetic goes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_ensure(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_ensure(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_(self, p)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis, keepdims)
 
 
 def _ensure(x, like: Tensor | None = None) -> Tensor:
@@ -274,19 +222,6 @@ def neg(a: Tensor) -> Tensor:
         return (-g,)
 
     return _from_op(-a.data, (a,), backward)
-
-
-def pow_(a: Tensor, p) -> Tensor:
-    """Elementwise power with a python-number exponent."""
-    if isinstance(p, Tensor):
-        raise DimensionError("pow_ exponent must be a plain number, not a Tensor")
-    p = float(p)
-    data = a.data ** p
-
-    def backward(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _from_op(data, (a,), backward)
 
 
 def _check_matmul(a, b) -> None:
@@ -584,6 +519,21 @@ def gather_lastdim(x: Tensor, labels) -> Tensor:
     return _from_op(data, (x,), backward)
 
 
+def central_difference(f, arr: np.ndarray, idx, eps: float) -> float:
+    """(f() at arr[idx] + eps - f() at arr[idx] - eps) / (2 eps) for a
+    zero-argument ``f`` returning a float.  ``arr`` is perturbed in place;
+    its element is restored even when ``f`` raises."""
+    original = arr[idx]
+    try:
+        arr[idx] = original + eps
+        hi = f()
+        arr[idx] = original - eps
+        lo = f()
+    finally:
+        arr[idx] = original
+    return (hi - lo) / (2.0 * eps)
+
+
 def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     """Compare the taped gradient of scalar ``f(x)`` against central differences.
 
@@ -606,13 +556,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     analytic = x.grad.copy()
     numeric = np.zeros_like(analytic)
     for idx in np.ndindex(x.data.shape):
-        original = x.data[idx]
-        x.data[idx] = original + eps
-        hi = float(f(x).data)
-        x.data[idx] = original - eps
-        lo = float(f(x).data)
-        x.data[idx] = original
-        numeric[idx] = (hi - lo) / (2.0 * eps)
+        numeric[idx] = central_difference(lambda: float(f(x).data), x.data, idx, eps)
     if not np.isfinite(numeric).all():
         raise OracleError("central differences produced non-finite values")
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

@@ -27,7 +27,7 @@ from .losses import combine_losses, default_specs, per_task_loss
 from .model import Model, empty_params, forward, init_params
 from .optim import OptimState, ScheduleSpec, adamw_step, lr_schedule
 from .synthetic import dataset_bytes, read_dataset
-from .tensor import Tape, Tensor, mul, zero_grad
+from .tensor import Tape, Tensor, central_difference, mul, zero_grad
 
 CKPT_MAGIC = b"MTCK"
 CKPT_VERSION = 2  # 2: decoder parameters stacked along a leading task axis
@@ -48,7 +48,6 @@ class RunOptions:
     weight_decay: float = 0.05
     dtype: str = "float64"
     balance: str = "static"  # static | inverse-ema
-    checkpoint_every: int = 0  # 0: only at the end
 
     def numpy_dtype(self):
         if self.dtype not in ("float64", "float32"):
@@ -160,9 +159,6 @@ def train(cfg: ArchConfig, data, options: RunOptions,
             "losses": {t: sums[t] / options.batch_size for t in cfg.tasks},
             "weights": {t: float(w) for t, w in weights.items()},
         })
-        if (ckpt_path and options.checkpoint_every
-                and (step + 1) % options.checkpoint_every == 0):
-            save_checkpoint(ckpt_path, model, opt, step + 1, bhash)
 
     final = evaluate(model, samples)
     metrics.append({"final_eval": True, "step": options.steps, "losses": final})
@@ -344,13 +340,7 @@ def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
             flat = data.reshape(-1)  # a view: writes perturb the parameter
             for flat_idx in rng.choice(data.size, size=min(samples_per_tensor, data.size),
                                        replace=False):
-                original = flat[flat_idx]
-                flat[flat_idx] = original + eps
-                hi = loss_value()
-                flat[flat_idx] = original - eps
-                lo = loss_value()
-                flat[flat_idx] = original
-                numeric = (hi - lo) / (2.0 * eps)
+                numeric = central_difference(loss_value, flat, flat_idx, eps)
                 analytic = g.reshape(-1)[flat_idx]
                 rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
                 probes += 1

@@ -8,6 +8,7 @@ from mtformer.ablation import (REPORT_FIELDS, ablate, normalize_subset,
                                shared_comparison, write_report)
 from mtformer.config import TASKS
 from mtformer.errors import ConfigurationError
+from mtformer.losses import relative_performance
 
 from test_training import tiny_cfg, tiny_data, tiny_options
 
@@ -58,6 +59,21 @@ def test_single_task_rows_are_their_own_baseline():
     for row in rows:
         if len(row.tasks) == 1:
             assert row.relative[row.tasks[0]] == 0.0
+
+
+def test_multitask_relative_is_measured_against_the_baseline():
+    # positive relative means the multitask loss is below the baseline
+    rows = quick_sweep()
+    baselines = {(r.tasks[0], r.shared_attention): r
+                 for r in rows if len(r.tasks) == 1}
+    multi = [r for r in rows if len(r.tasks) > 1]
+    assert multi
+    for row in multi:
+        for t in row.tasks:
+            base = baselines[(t, row.shared_attention)].losses[t]
+            assert row.relative[t] == relative_performance(row.losses[t], base)
+            assert row.losses[t] != base
+            assert (row.relative[t] > 0) == (row.losses[t] < base)
 
 
 def test_all_rows_share_one_budget_hash():

@@ -8,11 +8,11 @@ import pytest
 from scipy.special import erf
 
 from mtformer import config
-from mtformer.decoder import (Block2P, SharedP, decode, patch_expand,
-                              shared_attention, task_head)
+from mtformer.decoder import (SharedP, decode, patch_expand, shared_attention,
+                              task_head)
 from mtformer.encoder import encode
 from mtformer.errors import DimensionError
-from mtformer.layers import LinearP, NormP
+from mtformer.layers import BlockP, LinearP, NormP
 from mtformer.model import forward, init_params
 from mtformer.tensor import Tape, Tensor, grad_check, mean, mul, take_rows
 from mtformer.windowing import WindowGrid
@@ -103,9 +103,10 @@ def _stacked_norm(k, c, rng):
 
 
 def _block2(k, c, rng):
-    return Block2P(ln1=_stacked_norm(k, c, rng), v=_stacked_linear(k, c, c, rng),
-                   out=_stacked_linear(k, c, c, rng), ln2=_stacked_norm(k, c, rng),
-                   fc1=_stacked_linear(k, c, 2 * c, rng), fc2=_stacked_linear(k, 2 * c, c, rng))
+    """A shared-attention block: no q/k or bias table of its own."""
+    return BlockP(ln1=_stacked_norm(k, c, rng), q=None, k=None, v=_stacked_linear(k, c, c, rng),
+                  out=_stacked_linear(k, c, c, rng), table=None, ln2=_stacked_norm(k, c, rng),
+                  fc1=_stacked_linear(k, c, 2 * c, rng), fc2=_stacked_linear(k, 2 * c, c, rng))
 
 
 def _shared_p(c, heads, win, rng, scale=1.0):
@@ -188,7 +189,7 @@ def test_shared_attention_identical_tasks_stay_identical():
     c = 4
     grid = WindowGrid(4, 4, 2, 0)
     shared, blk = _shared_p(c, 2, 2, RNG), _block2(2, c, RNG)
-    for bundle in vars(blk).values():  # stream 1 gets stream 0's parameters
+    for bundle in filter(None, vars(blk).values()):  # stream 1 gets stream 0's parameters
         for t in vars(bundle).values():
             t.data[1] = t.data[0]
     x_sa = RNG.uniform(-1, 1, (16, c))

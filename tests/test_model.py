@@ -177,3 +177,31 @@ def test_init_rejects_invalid_config():
     cfg = replace(config.preset("desk-nano"), window=3)
     with pytest.raises(ConfigurationError):
         init_params(cfg, seed=0)
+
+
+def test_duplicate_parameter_name_is_a_configuration_error():
+    from mtformer.errors import ConfigurationError
+    from mtformer.model import _Builder
+    b = _Builder(None, np.float64)
+    b.linear("x", 2, 2)
+    with pytest.raises(ConfigurationError, match="duplicate parameter x.weight"):
+        b.linear("x", 2, 2)
+    b.slot = (0, 2)  # slice 0 of a stacked tensor registers it
+    b.weight("y", (2, 2))
+    with pytest.raises(ConfigurationError, match="duplicate parameter y"):
+        b.weight("y", (2, 2))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_shared_block_borrows_the_stage_bundle(shared):
+    cfg = replace(config.preset("desk-nano"), shared_attention=shared)
+    m = init_params(cfg, seed=0)
+    for i, stage in enumerate(m.decoder.stages):
+        own = (stage.block2.q, stage.block2.k, stage.block2.table)
+        if shared:
+            assert own == (None, None, None)
+            assert stage.shared.q.w is m.flat[f"decoder.s{i}.shared.q.weight"]
+            assert stage.shared.table is m.flat[f"decoder.s{i}.shared.bias_table"]
+        else:
+            assert stage.shared is None
+            assert stage.block2.q.w is m.flat[f"decoder.s{i}.b2.q.weight"]

@@ -29,7 +29,7 @@ def test_matmul_identity():
 
 def test_matmul_one_by_one():
     out = T.matmul(Tensor([[2.0]]), Tensor([[3.0]]))
-    assert out.item() == 6.0
+    assert out.shape == (1, 1) and float(out.data[0, 0]) == 6.0
 
 
 def test_matmul_mismatch_names_both_shapes():
@@ -127,6 +127,23 @@ def test_grad_check_flags_doubled_gradient():
     assert err == pytest.approx(0.5, abs=1e-3)
 
 
+def test_grad_check_restores_probe_when_f_raises():
+    # the first call is the taped pass, the second the first perturbed one
+    x = _rand(np.random.default_rng(3), 3, 2)
+    before = x.data.copy()
+    calls = []
+
+    def f(t):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("probe failed")
+        return T.sum_(T.mul(t, t))
+
+    with pytest.raises(RuntimeError, match="probe failed"):
+        T.grad_check(f, x)
+    assert x.data.tobytes() == before.tobytes()
+
+
 def test_grad_check_rejects_non_finite():
     with pytest.raises(OracleError):
         T.grad_check(lambda t: Tensor(float("nan")), _rand(np.random.default_rng(4), 2))
@@ -149,7 +166,6 @@ def _probe_cases():
         ("mul_broadcast", lambda x: T.sum_(T.mul(x, Tensor(w2))), (1, 6, 3)),
         ("div", lambda x: T.sum_(T.div(Tensor(w2), T.add(x, 3.0))), (4, 6, 3)),
         ("neg", lambda x: T.sum_(T.neg(x)), (5,)),
-        ("pow", lambda x: T.sum_(T.pow_(T.add(x, 2.0), 1.5)), (4, 3)),
         ("matmul_left", lambda x: T.sum_(T.matmul(x, Tensor(w))), (5, 3)),
         ("matmul_batched", lambda x: T.sum_(T.matmul(T.reshape(x, (2, 2, 3)), Tensor(w))), (4, 3)),
         ("linear_broadcast_bias", lambda x: T.sum_(T.mul(
@@ -307,14 +323,6 @@ def test_replay_is_bitwise_deterministic():
     assert np.array_equal(first, second)
 
 
-def test_no_tape_means_no_records_and_no_backward():
-    x = Tensor([1.0], requires_grad=True)
-    y = T.mul(x, x)
-    assert y.requires_grad
-    with pytest.raises(ValueError):
-        y.backward()
-
-
 def test_ops_on_constants_are_not_recorded():
     with Tape() as tape:
         T.mul(Tensor([1.0]), Tensor([2.0]))
@@ -326,6 +334,13 @@ def test_backward_rejects_non_scalar():
     with Tape() as tape:
         y = T.mul(x, 2.0)
         with pytest.raises(DimensionError):
+            tape.backward(y)
+
+
+def test_backward_rejects_loss_nothing_differentiable_feeds():
+    with Tape() as tape:
+        y = T.sum_(T.mul(Tensor([1.0, 2.0]), 2.0))
+        with pytest.raises(DataError, match="requires grad"):
             tape.backward(y)
 
 
@@ -389,22 +404,6 @@ def test_float32_stays_float32_through_the_stack():
 def test_integer_input_promotes_to_float64():
     t = Tensor([1, 2, 3])
     assert t.dtype == np.float64
-
-
-def test_operator_sugar_matches_functions():
-    rng = np.random.default_rng(12)
-    a = Tensor(rng.normal(size=(3, 3)))
-    b = Tensor(rng.normal(size=(3, 3)))
-    np.testing.assert_array_equal((a + b).data, T.add(a, b).data)
-    np.testing.assert_array_equal((a - b).data, T.sub(a, b).data)
-    np.testing.assert_array_equal((a * 2.0).data, T.mul(a, 2.0).data)
-    np.testing.assert_array_equal((2.0 * a).data, T.mul(a, 2.0).data)
-    np.testing.assert_array_equal((a / 2.0).data, T.div(a, 2.0).data)
-    np.testing.assert_array_equal((-a).data, T.neg(a).data)
-    np.testing.assert_array_equal((a @ b).data, T.matmul(a, b).data)
-    np.testing.assert_array_equal((a ** 2).data, T.pow_(a, 2).data)
-    np.testing.assert_array_equal(a.sum().data, T.sum_(a).data)
-    np.testing.assert_array_equal(a.mean(axis=0).data, T.mean(a, axis=0).data)
 
 
 # ------------------------------------------- kernels against their plain form

@@ -371,6 +371,27 @@ def test_failed_log_write_keeps_previous_log(tmp_path, monkeypatch):
     assert log.read_bytes() == before
 
 
+def test_check_model_gradients_restores_probe_when_forward_raises(monkeypatch):
+    # the first forward is the taped pass, the second the first perturbed one
+    from mtformer import training
+    from mtformer.model import init_params
+    model = init_params(tiny_cfg(), seed=0)
+    before = {name: p.data.copy() for name, p in model.flat.items()}
+    real_forward, calls = training.forward, []
+
+    def failing_forward(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("probe failed")
+        return real_forward(*args)
+
+    monkeypatch.setattr(training, "forward", failing_forward)
+    with pytest.raises(RuntimeError, match="probe failed"):
+        check_model_gradients(model, generate_sample(0, 32))
+    for name, p in model.flat.items():
+        assert p.data.tobytes() == before[name].tobytes(), name
+
+
 def test_check_model_gradients_on_tiny_model():
     from mtformer.model import init_params
     model = init_params(tiny_cfg(), seed=0)
