@@ -13,9 +13,9 @@ two would skew the comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .config import TASKS, ArchConfig, count_parameters, preset, replace
+from .config import PRESETS, TASKS, ArchConfig, count_parameters, preset
 from .errors import ConfigurationError
 from .files import replace_on_success
 from .losses import relative_performance
@@ -71,14 +71,15 @@ def _six_columns(values: dict) -> dict:
 
 
 def ablate(cfg: ArchConfig, data, options: RunOptions, subsets=None,
-           shared_flags=(True, False), presets=None, report_path=None) -> list:
-    """Train every (subset, sharing flag, preset) cell under one budget.
+           shared_flags=(True, False), report_path=None) -> list:
+    """Train every (subset, sharing flag) cell under one budget.
 
     ``subsets`` defaults to the protocol the architecture claims live on:
     each single task plus the full task set.  Single-task cells run first
     and serve as baselines for the relative columns; the driver adds any
     missing ones.  Returns the rows in run order and, when ``report_path``
-    is set, writes them as line-delimited JSON.
+    is set, writes them as line-delimited JSON.  Each row's ``preset`` is
+    the name of the preset equal to ``cfg``, or "custom" when none is.
     """
     samples = _load_samples(data)
     if subsets is None:
@@ -89,43 +90,42 @@ def ablate(cfg: ArchConfig, data, options: RunOptions, subsets=None,
     flags = list(dict.fromkeys(bool(f) for f in shared_flags))
     if not flags:
         raise ConfigurationError("no sharing flags requested")
-    scales = [("custom", cfg)] if not presets else [(n, preset(n)) for n in presets]
+    label = next((name for name in PRESETS if preset(name) == cfg), "custom")
 
     needed = sorted({t for s in subsets for t in s}, key=TASKS.index)
     rows = []
-    for label, scale in scales:
-        for shared in flags:
-            baselines = {}
-            ordered = [(t,) for t in needed] + [s for s in subsets if len(s) > 1]
-            for subset in ordered:
-                cell = _cell_config(scale, subset, shared)
-                result = train(cell, samples, options)
-                finals = result.metrics[-1]["losses"]
-                if len(subset) == 1:
-                    baselines[subset[0]] = (finals[subset[0]], result.budget_hash)
-                relative = {}
-                for t in subset:
-                    if t not in baselines:
-                        raise ConfigurationError(
-                            f"no single-task baseline for {t} in this sweep")
-                    single, bhash = baselines[t]
-                    if bhash != result.budget_hash:
-                        raise ConfigurationError(
-                            f"budget hash mismatch between {t} baseline and "
-                            f"{'+'.join(subset)} run; rows are not comparable")
-                    relative[t] = relative_performance(finals[t], single)
-                rows.append(AblationReport(
-                    run=f"r{len(rows):02d}-{''.join(subset)}-{'on' if shared else 'off'}",
-                    preset=label,
-                    tasks=subset,
-                    shared_attention=shared,
-                    parameters=count_parameters(cell).total,
-                    losses=_six_columns(finals),
-                    relative=_six_columns(relative),
-                    wall_time=result.wall_time,
-                    budget_hash=result.budget_hash,
-                    config_hash=result.config_hash,
-                ))
+    for shared in flags:
+        baselines = {}
+        ordered = [(t,) for t in needed] + [s for s in subsets if len(s) > 1]
+        for subset in ordered:
+            cell = _cell_config(cfg, subset, shared)
+            result = train(cell, samples, options)
+            finals = result.metrics[-1]["losses"]
+            if len(subset) == 1:
+                baselines[subset[0]] = (finals[subset[0]], result.budget_hash)
+            relative = {}
+            for t in subset:
+                if t not in baselines:
+                    raise ConfigurationError(
+                        f"no single-task baseline for {t} in this sweep")
+                single, bhash = baselines[t]
+                if bhash != result.budget_hash:
+                    raise ConfigurationError(
+                        f"budget hash mismatch between {t} baseline and "
+                        f"{'+'.join(subset)} run; rows are not comparable")
+                relative[t] = relative_performance(finals[t], single)
+            rows.append(AblationReport(
+                run=f"r{len(rows):02d}-{''.join(subset)}-{'on' if shared else 'off'}",
+                preset=label,
+                tasks=subset,
+                shared_attention=shared,
+                parameters=count_parameters(cell).total,
+                losses=_six_columns(finals),
+                relative=_six_columns(relative),
+                wall_time=result.wall_time,
+                budget_hash=result.budget_hash,
+                config_hash=result.config_hash,
+            ))
     if report_path:
         write_report(rows, report_path)
     return rows

@@ -30,9 +30,9 @@ def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
-def _add_config_source(p, preset_help="named architecture preset"):
+def _add_config_source(p):
     p.add_argument("--config", help="architecture config file (key=value lines)")
-    p.add_argument("--preset", help=preset_help)
+    p.add_argument("--preset", help="named architecture preset")
 
 
 def _add_budget(p):
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
 
     p = sub.add_parser("ablate", help="fixed-budget task/sharing sweep")
-    _add_config_source(p, preset_help="network-size preset; repeat to sweep sizes")
+    _add_config_source(p)
     p.add_argument("--data", required=True)
     p.add_argument("--subsets", nargs="+", metavar="TASKS",
                    help="task subsets, letters per subset like s,d,n or sdn; "
@@ -133,17 +133,11 @@ def _parse_subsets(tokens):
 
 
 def _cmd_ablate(args) -> int:
-    if args.config:
-        cfg = cfgmod.resolve(args.config, None)
-        presets = [args.preset] if args.preset else None
-    elif args.preset:
-        cfg, presets = cfgmod.preset(args.preset), [args.preset]
-    else:
-        raise ConfigurationError("give a config file, a preset, or both")
+    cfg = cfgmod.resolve(args.config, args.preset)
     flags = {"on": (True,), "off": (False,), "both": (True, False)}[args.shared]
     rows = ablate(cfg, args.data, _options(args),
                   subsets=_parse_subsets(args.subsets), shared_flags=flags,
-                  presets=presets, report_path=args.out)
+                  report_path=args.out)
     for row in rows:
         _emit(row.to_record())
     if len(flags) == 2:

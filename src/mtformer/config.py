@@ -9,7 +9,7 @@ R reshading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError

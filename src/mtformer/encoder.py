@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .config import ArchConfig, stage_grids
 from .errors import DimensionError
-from .layers import BlockP, LinearP, NormP, attention_block, linear, norm
+from .layers import LinearP, NormP, attention_block, linear, norm
 from .tensor import Tensor, matmul, reshape, transpose
 from .windowing import WindowGrid
 

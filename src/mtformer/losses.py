@@ -1,49 +1,23 @@
-"""Per-task losses, their weighted combination, and the relative metric.
+"""Per-task losses, their combination, and the relative metric.
 
 Segmentation uses mean per-pixel cross-entropy over the already-softmaxed
-head output; depth uses mean L1 against targets normalized to [0, 1]; the
-remaining dense tasks use plain mean L1.  Weighted combination supports
-static weights and an inverse-EMA balancing rule where each task's
-effective weight is proportional to 1 / EMA(loss).
+head output; every other task uses mean L1 (depth against targets
+normalized to [0, 1]).  The combination weighs the tasks equally, or, given
+the caller's EMA state, by an inverse-EMA rule where each task's effective
+weight is proportional to 1 / EMA(loss).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import TASKS
 from .errors import ConfigurationError, DataError, DimensionError
 from .tensor import (Tensor, abs_, add, gather_lastdim, log, mean, mul, neg,
                      sub)
 
-KIND_FOR_TASK = {"S": "cross-entropy", "D": "depth-l1", "N": "l1",
-                 "K": "l1", "E": "l1", "R": "l1"}
 EMA_BETA = 0.99
 LOG_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class TaskLossSpec:
-    task: str
-    kind: str  # cross-entropy | l1 | depth-l1
-    weight: float = 1.0
-    balance: str = "static"  # static | inverse-ema
-
-    def __post_init__(self):
-        if self.kind not in ("cross-entropy", "l1", "depth-l1"):
-            raise ConfigurationError(f"unknown loss kind {self.kind!r}")
-        if self.balance not in ("static", "inverse-ema"):
-            raise ConfigurationError(f"unknown balancing mode {self.balance!r}")
-        if not self.weight >= 0:
-            raise ConfigurationError(f"weight must be >= 0, got {self.weight}")
-
-
-def default_specs(tasks, balance: str = "static", weights=None) -> dict:
-    """Standard spec per task: CE for S, depth L1 for D, L1 elsewhere."""
-    weights = weights or {}
-    return {t: TaskLossSpec(t, KIND_FOR_TASK[t], float(weights.get(t, 1.0)), balance)
-            for t in tasks}
 
 
 def _as_array(x):
@@ -52,10 +26,9 @@ def _as_array(x):
 
 def per_task_loss(task: str, pred: Tensor, target) -> Tensor:
     """Scalar loss for one task's dense prediction."""
-    kind = KIND_FOR_TASK.get(task)
-    if kind is None:
+    if task not in TASKS:
         raise ConfigurationError(f"unknown task id {task!r}")
-    if kind == "cross-entropy":
+    if task == "S":
         labels = _as_array(target)
         if labels.shape != pred.shape[:-1]:
             raise DimensionError(
@@ -74,60 +47,49 @@ def per_task_loss(task: str, pred: Tensor, target) -> Tensor:
     return mean(abs_(sub(pred, t)))
 
 
-def update_ema(ema: dict, losses: dict, beta: float = EMA_BETA) -> dict:
-    """In place: ema[t] = loss on first sight, else beta*old + (1-beta)*new."""
+def update_ema(ema: dict, losses: dict) -> dict:
+    """In place: ema[t] = loss on first sight, else
+    EMA_BETA*old + (1-EMA_BETA)*new."""
     for t, v in losses.items():
         v = float(v.data) if isinstance(v, Tensor) else float(v)
-        ema[t] = v if t not in ema else beta * ema[t] + (1.0 - beta) * v
+        ema[t] = v if t not in ema else EMA_BETA * ema[t] + (1.0 - EMA_BETA) * v
     return ema
 
 
-def combine_losses(losses: dict, specs: dict, ema: dict | None = None):
-    """Weighted total over task losses; returns (total Tensor, weights dict).
+def combine_losses(losses: dict, ema: dict | None = None):
+    """Weighted mean of the task losses; returns (total Tensor, weights dict).
 
-    Static: total = sum(w_t L_t) / sum(w_t).  Inverse-EMA: effective weights
-    are 1/EMA(L_t) renormalized to sum to the active task count (feeding
-    ``ema``, which the caller owns across steps); zero static weight drops a
-    task in either mode.  Weights enter as constants, so gradients reach the
-    parameters only through the losses themselves.
+    Without ``ema`` every task weighs 1.  With it (the caller owns the dict
+    across steps) the losses first feed the EMA, then the weights are
+    1/EMA(L_t) renormalized to sum to the task count.  Either way the total
+    is sum(w_t L_t) / sum(w_t), summed in the order of ``losses``.  Weights
+    enter as constants, so gradients reach the parameters only through the
+    losses themselves.
     """
-    missing = [t for t in losses if t not in specs]
-    if missing:
-        raise ConfigurationError(f"no loss spec for tasks {missing}")
-    active = {t: losses[t] for t in losses if specs[t].weight > 0}
-    if not active:
-        raise ConfigurationError("all task weights are zero, nothing to combine")
-    modes = {specs[t].balance for t in active}
-    if len(modes) > 1:
-        raise ConfigurationError(f"mixed balancing modes {sorted(modes)}")
-
-    if modes == {"inverse-ema"}:
-        if ema is None:
-            raise ConfigurationError("inverse-ema balancing needs an EMA state dict")
-        update_ema(ema, active)
-        # a perfectly solved task would otherwise get infinite weight
-        inv = {t: 1.0 / max(ema[t], 1e-12) for t in active}
-        scale = len(active) / sum(inv.values())
-        weights = {t: inv[t] * scale for t in active}
+    if not losses:
+        raise ConfigurationError("no task losses to combine")
+    if ema is None:
+        weights = dict.fromkeys(losses, 1.0)
     else:
-        weights = {t: specs[t].weight for t in active}
+        update_ema(ema, losses)
+        # a perfectly solved task would otherwise get infinite weight
+        inv = {t: 1.0 / max(ema[t], 1e-12) for t in losses}
+        scale = len(losses) / sum(inv.values())
+        weights = {t: inv[t] * scale for t in losses}
 
     denom = sum(weights.values())
     total = None
-    for t, loss in active.items():
+    for t, loss in losses.items():
         term = mul(loss, weights[t] / denom)
         total = term if total is None else add(total, term)
     return total, weights
 
 
-def relative_performance(multi: float, single: float,
-                         lower_is_better: bool = True) -> float:
-    """Percentage change vs a single-task baseline; positive means the
-    multitask model wins under the given direction."""
+def relative_performance(multi: float, single: float) -> float:
+    """Percentage change of a loss vs its single-task baseline; positive
+    means the multitask loss is lower."""
     single = float(single)
     multi = float(multi)
     if single == 0:
         raise DataError("baseline value is zero, relative change is undefined")
-    if lower_is_better:
-        return 100.0 * (single - multi) / single
-    return 100.0 * (multi - single) / single
+    return 100.0 * (single - multi) / single

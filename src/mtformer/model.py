@@ -35,6 +35,11 @@ class Model:
     heads: dict  # task -> HeadP
     stacked: frozenset  # names of the tensors with a leading task axis
 
+    @property
+    def dtype(self):
+        """The one dtype every parameter, and so every forward, computes in."""
+        return next(iter(self.flat.values())).data.dtype
+
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.flat.values())
 

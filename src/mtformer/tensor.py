@@ -28,7 +28,7 @@ from .errors import ConfigurationError, DataError, DimensionError, OracleError
 
 __all__ = [
     "Tensor", "Tape", "add", "sub", "mul", "div", "neg", "matmul", "linear",
-    "reshape", "transpose", "swapaxes", "roll", "sum_", "mean", "exp", "log", "sqrt",
+    "reshape", "transpose", "swapaxes", "roll", "sum_", "mean", "log", "sqrt",
     "abs_", "sigmoid", "softmax_lastdim", "layer_norm", "gelu", "take_rows",
     "gather_lastdim", "central_difference", "grad_check", "zero_grad",
 ]
@@ -99,8 +99,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -335,15 +335,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         for ax in axes:
             n *= a.data.shape[ax]
     return mul(sum_(a, axis, keepdims), 1.0 / n)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        return (g * data,)
-
-    return _from_op(data, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .config import ArchConfig
 from .errors import (ConfigurationError, DataError, DimensionError,
                      FormatError, NumericsError)
 from .files import replace_on_success
-from .losses import combine_losses, default_specs, per_task_loss
+from .losses import combine_losses, per_task_loss
 from .model import Model, empty_params, forward, init_params
 from .optim import OptimState, ScheduleSpec, adamw_step, lr_schedule
 from .synthetic import dataset_bytes, read_dataset
@@ -93,14 +93,20 @@ def budget_hash(cfg: ArchConfig, options: RunOptions, samples) -> str:
     return h.hexdigest()
 
 
-def _step_losses(model: Model, sample, specs, ema, batch_scale: float, dt):
+def sample_losses(model: Model, sample) -> dict:
+    """Forward one sample in the model's dtype, then each task's loss in
+    ``cfg.tasks`` order.  Training, evaluation and both passes of the
+    gradient checker score a sample here; ``forward`` and ``per_task_loss``
+    are looked up in this module, so wrapping them here reaches all four."""
+    preds = forward(model, Tensor(np.asarray(sample.rgb, dtype=model.dtype)))
+    return {t: per_task_loss(t, preds[t], sample.target(t)) for t in model.cfg.tasks}
+
+
+def _step_losses(model: Model, sample, ema, batch_scale: float):
     """Forward/backward for one sample; returns float task losses and total."""
-    img = Tensor(np.asarray(sample.rgb, dtype=dt))
     with Tape() as tape:
-        preds = forward(model, img)
-        losses = {t: per_task_loss(t, preds[t], sample.target(t))
-                  for t in model.cfg.tasks}
-        total, weights = combine_losses(losses, specs, ema)
+        losses = sample_losses(model, sample)
+        total, weights = combine_losses(losses, ema)
         tape.backward(mul(total, batch_scale))
     return ({t: float(v.data) for t, v in losses.items()},
             float(total.data), weights)
@@ -114,6 +120,10 @@ def train(cfg: ArchConfig, data, options: RunOptions,
     given, the checkpoint holds parameters, optimizer state, step, and the
     config/budget hashes; the metrics log is line-delimited JSON.
     """
+    if options.balance not in ("static", "inverse-ema"):
+        raise ConfigurationError(f"unknown balancing mode {options.balance!r}")
+    if options.batch_size < 1:
+        raise ConfigurationError(f"batch size must be >= 1, got {options.batch_size}")
     samples = _load_samples(data)
     if not samples:
         raise DataError("training dataset is empty")
@@ -121,13 +131,11 @@ def train(cfg: ArchConfig, data, options: RunOptions,
     if samples[0].size != cfg.img_size:
         raise DimensionError(f"dataset images are {samples[0].size}px, "
                              f"config wants {cfg.img_size}px")
-    dt = options.numpy_dtype()
-    model = init_params(cfg, seed=options.seed, dtype=dt)
+    model = init_params(cfg, seed=options.seed, dtype=options.numpy_dtype())
     opt = OptimState(weight_decay=options.weight_decay)
     sched = ScheduleSpec(total_steps=options.steps, peak_lr=options.peak_lr,
                          warmup_steps=min(options.warmup_steps, options.steps),
                          floor_lr=options.floor_lr)
-    specs = default_specs(cfg.tasks, balance=options.balance)
     ema = {} if options.balance == "inverse-ema" else None
     rng = np.random.default_rng(options.seed)
     chash = config_hash(cfg)
@@ -144,7 +152,7 @@ def train(cfg: ArchConfig, data, options: RunOptions,
         weights = {}
         for idx in picks:
             per_task, total, weights = _step_losses(
-                model, samples[idx], specs, ema, 1.0 / options.batch_size, dt)
+                model, samples[idx], ema, 1.0 / options.batch_size)
             for t, v in per_task.items():
                 sums[t] += v
             total_sum += total
@@ -184,12 +192,10 @@ def evaluate(model_or_ckpt, data) -> dict:
     if samples[0].size != model.cfg.img_size:
         raise DimensionError(f"dataset images are {samples[0].size}px, "
                              f"config wants {model.cfg.img_size}px")
-    dt = next(iter(model.flat.values())).data.dtype
     sums = {t: 0.0 for t in model.cfg.tasks}
     for s in samples:
-        preds = forward(model, Tensor(np.asarray(s.rgb, dtype=dt)))
-        for t in model.cfg.tasks:
-            sums[t] += float(per_task_loss(t, preds[t], s.target(t)).data)
+        for t, loss in sample_losses(model, s).items():
+            sums[t] += float(loss.data)
     return {t: sums[t] / len(samples) for t in model.cfg.tasks}
 
 
@@ -197,8 +203,7 @@ def evaluate(model_or_ckpt, data) -> dict:
 
 def save_checkpoint(path, model: Model, opt: OptimState | None,
                     step: int, budget: str = "") -> None:
-    dt = next(iter(model.flat.values())).data.dtype
-    code = _DTYPE_CODES[np.dtype(dt)]
+    code = _DTYPE_CODES[model.dtype]
     cfg_text = cfgmod.to_text(model.cfg).encode()
     budget_b = budget.encode()
     with replace_on_success(path) as f:
@@ -306,23 +311,17 @@ def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
     {"max_rel_err", "worst_tensor", "probes"}; a task slice is named
     ``<name>[<task>]``.
     """
-    specs = default_specs(model.cfg.tasks)
-    dt = next(iter(model.flat.values())).data.dtype
-    img = np.asarray(sample.rgb, dtype=dt)
+    if samples_per_tensor < 1:
+        raise ConfigurationError(
+            f"samples per tensor must be >= 1, got {samples_per_tensor}")
 
     def loss_value() -> float:
-        preds = forward(model, Tensor(img))
-        losses = {t: per_task_loss(t, preds[t], sample.target(t))
-                  for t in model.cfg.tasks}
-        total, _ = combine_losses(losses, specs)
+        total, _ = combine_losses(sample_losses(model, sample))
         return float(total.data)
 
     zero_grad(model.flat.values())
     with Tape() as tape:
-        preds = forward(model, Tensor(img))
-        losses = {t: per_task_loss(t, preds[t], sample.target(t))
-                  for t in model.cfg.tasks}
-        total, _ = combine_losses(losses, specs)
+        total, _ = combine_losses(sample_losses(model, sample))
         tape.backward(total)
 
     rng = np.random.default_rng(seed)

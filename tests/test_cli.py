@@ -69,6 +69,17 @@ def test_train_requires_exactly_one_config_source(capsys, tiny_dataset_path, tmp
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("batch", ["0", "-1"])
+def test_train_rejects_batch_below_one(capsys, tmp_path, tiny_config_path,
+                                       tiny_dataset_path, batch):
+    ckpt = tmp_path / "x.mtck"
+    code = main(["train", "--config", tiny_config_path, "--data", tiny_dataset_path,
+                 "--steps", "1", "--batch", batch, "--out", str(ckpt)])
+    assert code == 2
+    assert "batch size must be >= 1" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_eval_reports_missing_file(capsys, tiny_dataset_path):
     code = main(["eval", "--ckpt", "/nonexistent.mtck", "--data", tiny_dataset_path])
     assert code == 2
@@ -101,6 +112,34 @@ def test_ablate_single_flag_skips_comparison(capsys, tiny_config_path,
     assert recs[0]["tasks"] == ["S"] and recs[0]["shared_attention"] is False
 
 
+def test_ablate_requires_exactly_one_config_source(capsys, tiny_config_path,
+                                                   tiny_dataset_path):
+    code = main(["ablate", "--config", tiny_config_path, "--preset", "desk-nano",
+                 "--data", tiny_dataset_path, "--steps", "1", "--batch", "1"])
+    assert code == 2
+    assert "exactly one" in capsys.readouterr().err
+
+
+def test_ablate_labels_rows_with_the_preset_the_config_equals(tmp_path, capsys,
+                                                              tiny_config_path):
+    data = tmp_path / "nano.mtds"
+    assert main(["gen-data", "--count", "1", "--size", "128", "--out", str(data)]) == 0
+    nano = tmp_path / "nano.cfg"
+    cfgmod.save(cfgmod.preset("desk-nano"), nano)
+    capsys.readouterr()
+    quick = ["--data", str(data), "--subsets", "k", "--shared", "off",
+             "--steps", "1", "--batch", "1"]
+    code, recs = run_cli(capsys, ["ablate", "--config", str(nano)] + quick)
+    assert code == 0 and recs[0]["preset"] == "desk-nano"
+
+    tiny_data = tmp_path / "tiny.mtds"
+    assert main(["gen-data", "--count", "1", "--size", "32", "--out", str(tiny_data)]) == 0
+    capsys.readouterr()
+    quick[1] = str(tiny_data)
+    code, recs = run_cli(capsys, ["ablate", "--config", tiny_config_path] + quick)
+    assert code == 0 and recs[0]["preset"] == "custom"
+
+
 def test_grad_check_passes_on_tiny_config(capsys, tiny_config_path):
     code, recs = run_cli(capsys, ["grad-check", "--config", tiny_config_path,
                                   "--tolerance", "1e-3"])
@@ -115,6 +154,18 @@ def test_grad_check_fails_loudly_on_impossible_tolerance(capsys, tiny_config_pat
                                   "--tolerance", "0"])
     assert code == 1
     assert recs[0]["pass"] is False
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_grad_check_rejects_fewer_than_one_probe_per_tensor(capsys, tiny_config_path,
+                                                            count):
+    # zero probes would otherwise report a check that compared nothing as passed
+    code = main(["grad-check", "--config", tiny_config_path,
+                 "--samples-per-tensor", count])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "samples per tensor must be >= 1" in captured.err
+    assert captured.out == ""
 
 
 def test_params_matches_library_accounting(capsys, tiny_config_path):

@@ -14,3 +14,22 @@ def test_package_raises_typed_errors_not_asserts():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/mtformer: {', '.join(found)}"
+
+
+def test_every_module_level_import_is_used():
+    # an import nothing reads is either dead or a re-export for another
+    # module, which should import the name from where it is defined
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert not unused, f"unused imports in src/mtformer: {', '.join(unused)}"

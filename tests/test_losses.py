@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from mtformer.errors import ConfigurationError, DataError, DimensionError
-from mtformer.losses import (EMA_BETA, TaskLossSpec, combine_losses,
-                             default_specs, per_task_loss,
+from mtformer.losses import (EMA_BETA, combine_losses, per_task_loss,
                              relative_performance, update_ema)
 from mtformer.tensor import Tape, Tensor, grad_check, softmax_lastdim
 
@@ -91,65 +90,30 @@ def _scalars(**vals):
 
 
 def test_static_uniform_weights_average():
-    specs = default_specs(("D", "N"))
-    total, w = combine_losses(_scalars(D=1.0, N=3.0), specs)
+    total, w = combine_losses(_scalars(D=1.0, N=3.0))
     assert abs(float(total.data) - 2.0) < 1e-12
     assert w == {"D": 1.0, "N": 1.0}
 
 
-def test_zero_weight_excludes_task():
-    specs = {"D": TaskLossSpec("D", "depth-l1", 0.0),
-             "N": TaskLossSpec("N", "l1", 1.0)}
-    total, w = combine_losses(_scalars(D=1.0, N=3.0), specs)
-    assert abs(float(total.data) - 3.0) < 1e-12
-    assert "D" not in w
-
-
-def test_static_weighted_mean():
-    specs = {"D": TaskLossSpec("D", "depth-l1", 1.0),
-             "N": TaskLossSpec("N", "l1", 3.0)}
-    total, _ = combine_losses(_scalars(D=1.0, N=3.0), specs)
-    assert abs(float(total.data) - (1.0 + 9.0) / 4.0) < 1e-12
-
-
 def test_static_combination_is_homogeneous():
-    specs = default_specs(("S", "D", "N"), weights={"S": 2.0})
     base = _scalars(S=0.3, D=1.2, N=0.7)
     scaled = _scalars(S=1.5, D=6.0, N=3.5)
-    t1, _ = combine_losses(base, specs)
-    t2, _ = combine_losses(scaled, specs)
+    t1, _ = combine_losses(base)
+    t2, _ = combine_losses(scaled)
     assert abs(float(t2.data) - 5.0 * float(t1.data)) < 1e-12
 
 
 def test_combination_errors():
     with pytest.raises(ConfigurationError):
-        combine_losses(_scalars(D=1.0), {})
-    zero = {"D": TaskLossSpec("D", "depth-l1", 0.0)}
+        combine_losses({})
     with pytest.raises(ConfigurationError):
-        combine_losses(_scalars(D=1.0), zero)
-    mixed = {"D": TaskLossSpec("D", "depth-l1", 1.0, "static"),
-             "N": TaskLossSpec("N", "l1", 1.0, "inverse-ema")}
-    with pytest.raises(ConfigurationError):
-        combine_losses(_scalars(D=1.0, N=1.0), mixed)
-    inv = default_specs(("D",), balance="inverse-ema")
-    with pytest.raises(ConfigurationError):
-        combine_losses(_scalars(D=1.0), inv, ema=None)
-
-
-def test_spec_validation():
-    with pytest.raises(ConfigurationError):
-        TaskLossSpec("D", "huber")
-    with pytest.raises(ConfigurationError):
-        TaskLossSpec("D", "l1", -0.5)
-    with pytest.raises(ConfigurationError):
-        TaskLossSpec("D", "l1", 1.0, "gradnorm")
+        combine_losses({}, ema={})
 
 
 def test_inverse_ema_steady_state_weights():
-    specs = default_specs(("D", "N"), balance="inverse-ema")
     ema = {}
     for _ in range(40):
-        total, w = combine_losses(_scalars(D=1.0, N=4.0), specs, ema)
+        total, w = combine_losses(_scalars(D=1.0, N=4.0), ema)
     assert abs(w["D"] - 1.6) < 1e-12
     assert abs(w["N"] - 0.4) < 1e-12
     assert abs(float(total.data) - 1.6) < 1e-12
@@ -160,12 +124,11 @@ def test_inverse_ema_rebalances_toward_smaller_scale():
     # when one loss grows it gets downweighted so raw scale differences do
     # not dominate the sum; the small-loss task's weight climbs toward its
     # steady-state value 2 * (1/1) / (1/1 + 1/5) = 5/3
-    specs = default_specs(("D", "N"), balance="inverse-ema")
     ema = {}
-    combine_losses(_scalars(D=1.0, N=1.0), specs, ema)
+    combine_losses(_scalars(D=1.0, N=1.0), ema)
     history = []
     for _ in range(30):
-        _, w = combine_losses(_scalars(D=1.0, N=5.0), specs, ema)
+        _, w = combine_losses(_scalars(D=1.0, N=5.0), ema)
         history.append(w["D"])
     assert all(b > a for a, b in zip(history, history[1:]))
     assert 1.0 < history[-1] < 5.0 / 3.0
@@ -179,12 +142,11 @@ def test_ema_recursion_pinned():
 
 
 def test_combined_total_backpropagates():
-    specs = default_specs(("D", "N"))
     x = Tensor(np.array([0.4, 0.6]), requires_grad=True)
     with Tape() as tape:
         losses = {"D": per_task_loss("D", x, np.array([0.0, 0.0])),
                   "N": per_task_loss("N", x, np.array([1.0, 1.0]))}
-        total, _ = combine_losses(losses, specs)
+        total, _ = combine_losses(losses)
         tape.backward(total)
     # D pulls toward 0 (+sign), N pulls toward 1 (-sign); each mean has 1/2,
     # each task weight 1/2 -> |grad| = 0 elementwise
@@ -192,8 +154,7 @@ def test_combined_total_backpropagates():
 
     x = Tensor(np.array([0.4, 0.6]), requires_grad=True)
     with Tape() as tape:
-        total, _ = combine_losses(
-            {"D": per_task_loss("D", x, np.array([0.0, 0.0]))}, specs)
+        total, _ = combine_losses({"D": per_task_loss("D", x, np.array([0.0, 0.0]))})
         tape.backward(total)
     np.testing.assert_allclose(x.grad, np.full(2, 0.5), atol=1e-15)
 
@@ -203,7 +164,6 @@ def test_combined_total_backpropagates():
 def test_relative_performance_examples():
     assert relative_performance(1.0, 1.0) == 0.0
     assert abs(relative_performance(0.8, 1.0) - 20.0) < 1e-12
-    assert abs(relative_performance(0.6, 0.5, lower_is_better=False) - 20.0) < 1e-12
     assert relative_performance(1.2, 1.0) < 0  # multitask lost
     with pytest.raises(DataError):
         relative_performance(0.5, 0.0)

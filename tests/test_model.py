@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mtformer import config
-from mtformer.losses import combine_losses, default_specs, per_task_loss
+from mtformer.losses import combine_losses, per_task_loss
 from mtformer.model import INIT_STD, Model, forward, init_params
 from mtformer.synthetic import generate_sample
 from mtformer.tensor import Tape, Tensor
@@ -108,7 +108,7 @@ def test_float32_model_computes_in_float32():
     with Tape() as tape:
         preds = forward(m, Tensor(np.asarray(sample.rgb, dtype=np.float32)))
         losses = {t: per_task_loss(t, preds[t], sample.target(t)) for t in cfg.tasks}
-        total, _ = combine_losses(losses, default_specs(cfg.tasks))
+        total, _ = combine_losses(losses)
         tape.backward(total)
     assert {out.dtype for out, _, _ in tape._records} == {np.dtype(np.float32)}
     assert all(p.dtype == np.float32 for p in preds.values())
@@ -118,7 +118,7 @@ def _taped_loss(cfg, m, sample):
     with Tape() as tape:
         preds = forward(m, Tensor(np.asarray(sample.rgb, dtype=np.float64)))
         losses = {t: per_task_loss(t, preds[t], sample.target(t)) for t in cfg.tasks}
-        total, _ = combine_losses(losses, default_specs(cfg.tasks))
+        total, _ = combine_losses(losses)
     return tape, total
 
 

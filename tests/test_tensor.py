@@ -178,7 +178,6 @@ def _probe_cases():
         ("sum_axis", lambda x: T.sum_(T.mul(T.sum_(x, axis=1), 2.0)), (3, 4)),
         ("sum_keepdims", lambda x: T.sum_(T.sum_(x, axis=(0, 1), keepdims=True)), (3, 4)),
         ("mean_axis", lambda x: T.sum_(T.mean(x, axis=0)), (3, 4)),
-        ("exp", lambda x: T.sum_(T.exp(x)), (4, 4)),
         ("log", lambda x: T.sum_(T.log(T.add(x, 2.0))), (4, 4)),
         ("sqrt", lambda x: T.sum_(T.sqrt(T.add(x, 2.0))), (4, 4)),
         ("abs", lambda x: T.sum_(T.abs_(T.add(x, 2.0))), (4, 4)),
@@ -562,3 +561,56 @@ def test_take_rows_single_row_gradient_matches_scatter_add():
     want = np.zeros((3, 2, 2))
     np.add.at(want, np.int64(1), g)
     _assert_bitwise(gt, want)
+
+
+# ------------------------------------------------- broadcasting gradients
+
+@st.composite
+def _broadcast_shapes(draw):
+    """Two operand shapes: each drops 0-2 leading axes of one common shape
+    and sets any of the remaining axes to 1."""
+    full = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+
+    def operand():
+        drop = draw(st.integers(0, min(2, len(full) - 1)))
+        return tuple(1 if draw(st.booleans()) else n for n in full[drop:])
+
+    return operand(), operand()
+
+
+def _sum_onto(full, shape):
+    """Sum every element of ``full`` onto the element of ``shape`` it was
+    broadcast from, in float64; returns the sums and the sums of magnitudes."""
+    size = math.prod(shape)
+    src = np.broadcast_to(np.arange(size).reshape(shape), full.shape).ravel()
+    terms = full.ravel().astype(np.float64)
+    return (np.bincount(src, terms, size).reshape(shape),
+            np.bincount(src, np.abs(terms), size).reshape(shape))
+
+
+# each op's gradients before they are summed back to the operand shapes
+BROADCAST_GRADS = {
+    "add": (T.add, lambda g, a, b: (g, g)),
+    "sub": (T.sub, lambda g, a, b: (g, -g)),
+    "mul": (T.mul, lambda g, a, b: (g * b, g * a)),
+    "div": (T.div, lambda g, a, b: (g / b, -g * a / (b * b))),
+}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(BROADCAST_GRADS)), _broadcast_shapes(), DTYPES,
+       st.integers(0, 2 ** 16))
+def test_broadcast_gradients_sum_over_broadcast_axes(op, shapes, dtype, seed):
+    fn, full_grads = BROADCAST_GRADS[op]
+    rng = np.random.default_rng(seed)
+    a = _normal(rng, shapes[0], dtype)
+    # a divisor away from zero, of either sign
+    b = (rng.uniform(0.5, 2.0, shapes[1]) * rng.choice([-1.0, 1.0], shapes[1])).astype(dtype)
+    g = _normal(rng, np.broadcast_shapes(a.shape, b.shape), dtype)
+    _, grads = _value_and_grads(fn, [a, b], g)
+
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, x, full in zip(grads, (a, b), full_grads(g, a, b)):
+        assert got.dtype == x.dtype and got.shape == x.shape, (got.dtype, got.shape, x.shape)
+        want, magnitude = _sum_onto(full, x.shape)
+        assert np.all(np.abs(got - want) <= rtol * magnitude), np.abs(got - want).max()

@@ -1,11 +1,12 @@
 """Training loop, evaluation, checkpoint format, and model-level grad checks."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mtformer.config import ArchConfig, replace
+from mtformer.config import ArchConfig
 from mtformer.errors import (ConfigurationError, DataError, DimensionError,
                              FormatError, NumericsError)
 from mtformer.synthetic import generate_sample
@@ -330,6 +331,11 @@ def test_inverse_ema_mode_produces_moving_weights():
     # after the first update the two tasks are no longer equally weighted
     late = res.metrics[-2]["weights"]
     assert late["S"] != late["D"]
+
+
+def test_train_rejects_unknown_balance():
+    with pytest.raises(ConfigurationError, match="gradnorm"):
+        train(tiny_cfg(), tiny_data(count=1), tiny_options(balance="gradnorm"))
 
 
 def test_float32_training_runs():
