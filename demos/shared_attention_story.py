@@ -18,9 +18,9 @@ from mtformer.synthetic import generate_sample
 from mtformer.tensor import Tape, Tensor, zero_grad
 from mtformer.training import RunOptions, train
 
-cfg = ArchConfig(img_size=64, patch_size=4, base_channels=8,
+cfg = ArchConfig(img_size=64, base_channels=8,
                  stage_depths=(1, 1, 2, 1), encoder_heads=(1, 2, 4, 8),
-                 decoder_heads=(8, 4, 2, 1), window=2, shift=1,
+                 decoder_heads=(8, 4, 2, 1), window=2,
                  tasks=("D", "K", "E"), reference_task="D",
                  mlp_ratio=2, decoder_mlp_ratio=2)
 

@@ -4,7 +4,7 @@ A config fully determines the model: a four stage windowed encoder whose
 channel widths double per stage, mirrored per task decoders coupled by a
 shared attention block, and per task output heads.  Task ids are single
 letters: S segmentation, D depth, N surface normals, K keypoints, E edges,
-R reshading.
+R reshading.  Patch size, window shift and class count are fixed, not set.
 """
 
 from __future__ import annotations
@@ -14,28 +14,37 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .files import replace_on_success
+from .synthetic import NUM_CLASSES
 
 TASKS = ("S", "D", "N", "K", "E", "R")
 
 PRESETS = ("mult-large", "mult-tiny", "desk-nano")
 
+# pixels per patch side; the task heads upsample exactly 4x back to pixels
+PATCH = 4
+
+# fields an ablation varies between rows that must stay comparable
+ABLATION_AXES = ("tasks", "reference_task", "shared_attention")
+
 
 @dataclass(frozen=True)
 class ArchConfig:
     img_size: int = 128
-    patch_size: int = 4
     base_channels: int = 16
     stage_depths: tuple = (1, 1, 2, 1)
     encoder_heads: tuple = (1, 2, 4, 8)
     decoder_heads: tuple = (8, 4, 2, 1)
     window: int = 4
-    shift: int = 2
     tasks: tuple = TASKS
     reference_task: str = "N"
-    seg_classes: int = 8
     shared_attention: bool = True
     mlp_ratio: int = 4
     decoder_mlp_ratio: int = 2
+
+
+def window_shift(cfg: ArchConfig) -> int:
+    """Cyclic shift of the shifted-window blocks: half a window, rounded down."""
+    return cfg.window // 2
 
 
 def stage_channels(cfg: ArchConfig) -> tuple:
@@ -50,14 +59,14 @@ def decoder_channels(cfg: ArchConfig) -> tuple:
 
 def stage_grids(cfg: ArchConfig) -> tuple:
     """Square token grid side per encoder stage."""
-    g = cfg.img_size // cfg.patch_size
+    g = cfg.img_size // PATCH
     return tuple(g >> s for s in range(4))
 
 
-def task_channels(cfg: ArchConfig, task: str) -> int:
+def task_channels(task: str) -> int:
     """Output channels of each task head."""
     if task == "S":
-        return cfg.seg_classes
+        return NUM_CLASSES
     if task == "N":
         return 3
     if task in ("D", "K", "E", "R"):
@@ -68,26 +77,14 @@ def task_channels(cfg: ArchConfig, task: str) -> int:
 def validate(cfg: ArchConfig) -> list:
     """Return every violated constraint as a message; empty list means valid."""
     problems = []
-    if cfg.patch_size != 4:
-        # the task heads upsample exactly 4x, so only a 4 pixel patch lands
-        # back on pixel resolution
-        problems.append(f"patch_size must be 4, got {cfg.patch_size}")
-    elif cfg.img_size % cfg.patch_size:
-        problems.append(f"patch_size {cfg.patch_size} must divide img_size {cfg.img_size}")
-    else:
-        g = cfg.img_size // cfg.patch_size
-        if g % 8:
-            problems.append(
-                f"token grid {g} (img {cfg.img_size} / patch {cfg.patch_size}) must be divisible by 8 "
-                "so all four stages have integer grids")
-        else:
-            for side in stage_grids(cfg):
-                if side % cfg.window:
-                    problems.append(f"window {cfg.window} must divide stage grid side {side}")
+    if cfg.img_size < 8 * PATCH or cfg.img_size % (8 * PATCH):  # four integer stage grids
+        problems.append(f"img_size must be a positive multiple of {8 * PATCH}, got {cfg.img_size}")
     if cfg.window < 1:
         problems.append(f"window must be >= 1, got {cfg.window}")
-    elif not 0 <= cfg.shift < cfg.window:
-        problems.append(f"shift must satisfy 0 <= shift < window, got {cfg.shift} vs {cfg.window}")
+    elif not problems:  # the stage grids are integers
+        for side in stage_grids(cfg):
+            if side % cfg.window:
+                problems.append(f"window {cfg.window} must divide stage grid side {side}")
     if cfg.base_channels < 4 or cfg.base_channels % 4:
         problems.append(
             f"base_channels must be a positive multiple of 4 for the head upsampling, got {cfg.base_channels}")
@@ -96,14 +93,12 @@ def validate(cfg: ArchConfig) -> list:
                       ("decoder_heads", cfg.decoder_heads)):
         if len(tup) != 4 or any(int(v) < 1 for v in tup):
             problems.append(f"{name} must be 4 positive ints, got {tup}")
-    if len(cfg.encoder_heads) == 4 and cfg.base_channels % 4 == 0:
-        for s, (ch, m) in enumerate(zip(stage_channels(cfg), cfg.encoder_heads)):
-            if m >= 1 and ch % m:
-                problems.append(f"encoder_heads[{s}]={m} must divide stage channels {ch}")
-    if len(cfg.decoder_heads) == 4 and cfg.base_channels % 4 == 0:
-        for s, (ch, m) in enumerate(zip(decoder_channels(cfg), cfg.decoder_heads)):
-            if m >= 1 and ch % m:
-                problems.append(f"decoder_heads[{s}]={m} must divide decoder channels {ch}")
+    for name, heads, widths in (("encoder_heads", cfg.encoder_heads, stage_channels(cfg)),
+                                ("decoder_heads", cfg.decoder_heads, decoder_channels(cfg))):
+        if len(heads) == 4 and cfg.base_channels % 4 == 0:
+            for s, (ch, m) in enumerate(zip(widths, heads)):
+                if m >= 1 and ch % m:
+                    problems.append(f"{name}[{s}]={m} must divide channels {ch}")
     if not cfg.tasks:
         problems.append("tasks must be a non-empty subset of " + ",".join(TASKS))
     else:
@@ -115,8 +110,6 @@ def validate(cfg: ArchConfig) -> list:
         if cfg.reference_task not in cfg.tasks:
             problems.append(
                 f"reference_task {cfg.reference_task!r} must be one of the active tasks {cfg.tasks}")
-    if cfg.seg_classes < 2:
-        problems.append(f"seg_classes must be >= 2, got {cfg.seg_classes}")
     if cfg.mlp_ratio < 1 or cfg.decoder_mlp_ratio < 1:
         problems.append("mlp ratios must be >= 1, got "
                         f"{cfg.mlp_ratio} / {cfg.decoder_mlp_ratio}")
@@ -133,17 +126,17 @@ def require_valid(cfg: ArchConfig) -> ArchConfig:
 def preset(name: str) -> ArchConfig:
     """Named architectures: the published large/tiny pair and a desk scale one."""
     if name == "mult-large":
-        return ArchConfig(img_size=224, patch_size=4, base_channels=192,
+        return ArchConfig(img_size=224, base_channels=192,
                           stage_depths=(2, 2, 18, 2), encoder_heads=(6, 12, 24, 48),
-                          decoder_heads=(48, 24, 12, 6), window=7, shift=3)
+                          decoder_heads=(48, 24, 12, 6), window=7)
     if name == "mult-tiny":
-        return ArchConfig(img_size=224, patch_size=4, base_channels=96,
+        return ArchConfig(img_size=224, base_channels=96,
                           stage_depths=(2, 2, 6, 2), encoder_heads=(6, 12, 24, 48),
-                          decoder_heads=(48, 24, 12, 6), window=7, shift=3)
+                          decoder_heads=(48, 24, 12, 6), window=7)
     if name == "desk-nano":
-        return ArchConfig(img_size=128, patch_size=4, base_channels=16,
+        return ArchConfig(img_size=128, base_channels=16,
                           stage_depths=(1, 1, 2, 1), encoder_heads=(1, 2, 4, 8),
-                          decoder_heads=(8, 4, 2, 1), window=4, shift=2)
+                          decoder_heads=(8, 4, 2, 1), window=4)
     raise ConfigurationError(f"unknown preset {name!r}, valid presets: {', '.join(PRESETS)}")
 
 
@@ -189,7 +182,7 @@ def count_parameters(cfg: ArchConfig) -> ParamCount:
     c = cfg.base_channels
     enc_ch = stage_channels(cfg)
 
-    encoder = linear_params(3 * cfg.patch_size ** 2, c)
+    encoder = linear_params(3 * PATCH ** 2, c)
     for s in range(4):
         encoder += cfg.stage_depths[s] * _block_params(
             enc_ch[s], cfg.encoder_heads[s], cfg.window, cfg.mlp_ratio)
@@ -214,7 +207,7 @@ def count_parameters(cfg: ArchConfig) -> ParamCount:
         decoders[t] = n
         heads[t] = (linear_params(c, 2 * c, bias=False)
                     + linear_params(c // 2, c, bias=False)
-                    + linear_params(c // 4, task_channels(cfg, t)))
+                    + linear_params(c // 4, task_channels(t)))
 
     total = encoder + sum(decoders.values()) + sum(heads.values())
     return ParamCount(encoder=encoder, decoder=decoders, heads=heads, total=total)
@@ -284,7 +277,10 @@ def save(cfg: ArchConfig, path) -> None:
 
 
 def load(path) -> ArchConfig:
-    return from_text(Path(path).read_text())
+    try:
+        return from_text(Path(path).read_bytes().decode())
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from exc
 
 
 def resolve(config_path=None, preset_name=None) -> ArchConfig:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ArchConfig, decoder_channels, task_channels
+from .config import (PATCH, ArchConfig, decoder_channels, task_channels,
+                     window_shift)
 from .errors import ConfigurationError, DimensionError
 from .layers import (BlockP, LinearP, attention_block, attention_weights, linear,
                      shifted_windows)
@@ -111,7 +112,7 @@ def decode(pyramid, cfg: ArchConfig, params: DecoderParams) -> Tensor:
                 f"skip {i} has shape {skips[i].shape}, expected ({sides[i] * sides[i]}, {widths[i]})")
     x = linear(skips[0], params.init)
     for i, stage in enumerate(params.stages):
-        grid = WindowGrid(sides[i], sides[i], cfg.window, cfg.shift)
+        grid = WindowGrid(sides[i], sides[i], cfg.window, window_shift(cfg))
         x = decoder_stage(x, skips[i], stage, grid)
         if stage.expand is not None:
             x = patch_expand(x, sides[i], stage.expand)
@@ -121,11 +122,11 @@ def decode(pyramid, cfg: ArchConfig, params: DecoderParams) -> Tensor:
 def task_head(y: Tensor, task: str, cfg: ArchConfig, p: HeadP) -> Tensor:
     """Two patch expansions to full resolution, a linear map to task channels,
     and the task's output activation (softmax / sigmoid / unit normals)."""
-    side = cfg.img_size // cfg.patch_size
+    side = cfg.img_size // PATCH
     x = patch_expand(y, side, p.expand1)
     x = patch_expand(x, 2 * side, p.expand2)
     x = linear(x, p.out)
-    x = reshape(x, (cfg.img_size, cfg.img_size, task_channels(cfg, task)))
+    x = reshape(x, (cfg.img_size, cfg.img_size, task_channels(task)))
     if task == "S":
         return softmax_lastdim(x)
     if task == "N":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ArchConfig, stage_grids
+from .config import PATCH, ArchConfig, stage_grids, window_shift
 from .errors import DimensionError
 from .layers import LinearP, NormP, attention_block, linear, norm
 from .tensor import Tensor, matmul, reshape, transpose
@@ -81,11 +81,11 @@ def encode(img: Tensor, cfg: ArchConfig, params: EncoderParams) -> FeaturePyrami
     if img.shape[:2] != (cfg.img_size, cfg.img_size):
         raise DimensionError(
             f"image {img.shape[:2]} does not match configured size {cfg.img_size}")
-    x = patch_embed(img, params.embed, cfg.patch_size)
+    x = patch_embed(img, params.embed, PATCH)
     sides = stage_grids(cfg)
     feats = []
     for s in range(4):
-        grid = WindowGrid(sides[s], sides[s], cfg.window, cfg.shift)
+        grid = WindowGrid(sides[s], sides[s], cfg.window, window_shift(cfg))
         flags = block_shift_flags(cfg.stage_depths[s])
         for block, shifted in zip(params.stages[s], flags):
             x = attention_block(x, block, grid, shifted)

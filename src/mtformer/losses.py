@@ -2,9 +2,9 @@
 
 Segmentation uses mean per-pixel cross-entropy over the already-softmaxed
 head output; every other task uses mean L1 (depth against targets
-normalized to [0, 1]).  The combination weighs the tasks equally, or, given
-the caller's EMA state, by an inverse-EMA rule where each task's effective
-weight is proportional to 1 / EMA(loss).
+normalized to [0, 1]).  The combination weighs the tasks equally or by
+given weights; ``task_weights`` derives inverse-EMA weights, proportional
+to 1 / EMA(loss), from an EMA the caller keeps and updates.
 """
 
 from __future__ import annotations
@@ -56,33 +56,33 @@ def update_ema(ema: dict, losses: dict) -> dict:
     return ema
 
 
-def combine_losses(losses: dict, ema: dict | None = None):
-    """Weighted mean of the task losses; returns (total Tensor, weights dict).
+def task_weights(tasks, ema: dict | None = None) -> dict:
+    """Weight per task: 1 each without an EMA (or before its first update),
+    else 1/EMA(L_t) renormalized to sum to the task count."""
+    if not ema:
+        return dict.fromkeys(tasks, 1.0)
+    # a perfectly solved task would otherwise get infinite weight
+    inv = {t: 1.0 / max(ema[t], 1e-12) for t in tasks}
+    scale = len(inv) / sum(inv.values())
+    return {t: w * scale for t, w in inv.items()}
 
-    Without ``ema`` every task weighs 1.  With it (the caller owns the dict
-    across steps) the losses first feed the EMA, then the weights are
-    1/EMA(L_t) renormalized to sum to the task count.  Either way the total
-    is sum(w_t L_t) / sum(w_t), summed in the order of ``losses``.  Weights
+
+def combine_losses(losses: dict, weights: dict | None = None) -> Tensor:
+    """Weighted mean sum(w_t L_t) / sum(w_t) of the task losses, summed in
+    the order of ``losses``; ``weights`` None weighs every task 1.  Weights
     enter as constants, so gradients reach the parameters only through the
     losses themselves.
     """
     if not losses:
         raise ConfigurationError("no task losses to combine")
-    if ema is None:
-        weights = dict.fromkeys(losses, 1.0)
-    else:
-        update_ema(ema, losses)
-        # a perfectly solved task would otherwise get infinite weight
-        inv = {t: 1.0 / max(ema[t], 1e-12) for t in losses}
-        scale = len(losses) / sum(inv.values())
-        weights = {t: inv[t] * scale for t in losses}
-
-    denom = sum(weights.values())
+    if weights is None:
+        weights = task_weights(losses)
+    denom = sum(weights[t] for t in losses)
     total = None
     for t, loss in losses.items():
         term = mul(loss, weights[t] / denom)
         total = term if total is None else add(total, term)
-    return total, weights
+    return total
 
 
 def relative_performance(multi: float, single: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (ArchConfig, count_parameters, decoder_channels,
+from .config import (PATCH, ArchConfig, count_parameters, decoder_channels,
                      require_valid, stage_channels, task_channels)
 from .decoder import DecoderParams, HeadP, SharedP, StageP, decode, task_head
 from .encoder import EncoderParams, MergeP, encode
@@ -153,7 +153,7 @@ def _build(cfg: ArchConfig, b: _Builder) -> Model:
     require_valid(cfg)
     enc_ch = stage_channels(cfg)
 
-    embed = b.linear("patch_embed", 3 * cfg.patch_size ** 2, cfg.base_channels)
+    embed = b.linear("patch_embed", 3 * PATCH ** 2, cfg.base_channels)
     stages, merges = [], []
     for s in range(4):
         stages.append([
@@ -196,7 +196,7 @@ def _build(cfg: ArchConfig, b: _Builder) -> Model:
         heads[t] = HeadP(
             expand1=b.weight(f"head.{t}.expand1.weight", (c, 2 * c)),
             expand2=b.weight(f"head.{t}.expand2.weight", (c // 2, c)),
-            out=b.linear(f"head.{t}.out", c // 4, task_channels(cfg, t)))
+            out=b.linear(f"head.{t}.out", c // 4, task_channels(t)))
     if "N" in cfg.tasks:
         # start the normals stream at a fixed, slightly tilted unit normal.
         # Unit normalization divides by the output norm, and the stacked

@@ -9,14 +9,13 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericsError
 
+B1, B2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
+
 
 @dataclass
 class OptimState:
     """Moment buffers keyed like the parameter dict, plus the step counter."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.05
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -47,9 +46,8 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: float) -> None:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     state.step += 1
     t = state.step
-    b1, b2 = float(state.beta1), float(state.beta2)
-    lr, eps = float(lr), float(state.eps)
-    bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    lr = float(lr)
+    bias1, bias2 = 1.0 - B1 ** t, 1.0 - B2 ** t
     decay = 1.0 - lr * float(state.weight_decay)
     work: dict = {}  # dtype -> two CHUNK-sized buffers
     for name, p in params.items():
@@ -70,17 +68,17 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: float) -> None:
         for start in range(0, p.data.size, CHUNK):
             theta, m, v, gc = (x[start:start + CHUNK] for x in flat)
             a, b = buf_a[:theta.size], buf_b[:theta.size]
-            m *= b1
-            m += np.multiply(1.0 - b1, gc, out=a)
-            v *= b2
-            np.multiply(1.0 - b2, gc, out=a)
+            m *= B1
+            m += np.multiply(1.0 - B1, gc, out=a)
+            v *= B2
+            np.multiply(1.0 - B2, gc, out=a)
             a *= gc
             v += a
             np.divide(m, bias1, out=a)  # m_hat
             np.multiply(lr, a, out=a)
             np.divide(v, bias2, out=b)  # v_hat
             np.sqrt(b, out=b)
-            b += eps
+            b += EPS
             a /= b
             theta *= decay
             theta -= a

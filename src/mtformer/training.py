@@ -14,7 +14,7 @@ import hashlib
 import json
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,14 +23,14 @@ from .config import ArchConfig
 from .errors import (ConfigurationError, DataError, DimensionError,
                      FormatError, NumericsError)
 from .files import replace_on_success
-from .losses import combine_losses, per_task_loss
+from .losses import combine_losses, per_task_loss, task_weights, update_ema
 from .model import Model, empty_params, forward, init_params
 from .optim import OptimState, ScheduleSpec, adamw_step, lr_schedule
 from .synthetic import dataset_bytes, read_dataset
 from .tensor import Tape, Tensor, central_difference, mul, zero_grad
 
 CKPT_MAGIC = b"MTCK"
-CKPT_VERSION = 2  # 2: decoder parameters stacked along a leading task axis
+CKPT_VERSION = 3  # 3: no patch size, shift, class count or Adam betas/eps stored
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _CODE_DTYPES = {0: np.float64, 1: np.float32}
 
@@ -77,13 +77,12 @@ def config_hash(cfg: ArchConfig) -> str:
 
 def budget_hash(cfg: ArchConfig, options: RunOptions, samples) -> str:
     """Digest of everything that must match for two runs to be comparable:
-    the shared architecture scale, the full training budget, and the data.
-    Task subset and attention sharing are deliberately excluded, they are
-    the quantities ablations vary."""
+    every config field but the ablation axes, the full training budget, and
+    the data.  Task subset, reference task and attention sharing are
+    deliberately excluded, they are the quantities ablations vary."""
     h = hashlib.sha256()
-    scale = (cfg.img_size, cfg.patch_size, cfg.base_channels, cfg.stage_depths,
-             cfg.encoder_heads, cfg.decoder_heads, cfg.window, cfg.shift,
-             cfg.seg_classes, cfg.mlp_ratio, cfg.decoder_mlp_ratio)
+    scale = tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                  if f.name not in cfgmod.ABLATION_AXES)
     budget = (options.steps, options.batch_size, options.seed, options.peak_lr,
               options.warmup_steps, options.floor_lr, options.weight_decay,
               options.dtype, options.balance)
@@ -102,14 +101,13 @@ def sample_losses(model: Model, sample) -> dict:
     return {t: per_task_loss(t, preds[t], sample.target(t)) for t in model.cfg.tasks}
 
 
-def _step_losses(model: Model, sample, ema, batch_scale: float):
+def _step_losses(model: Model, sample, weights: dict, batch_scale: float):
     """Forward/backward for one sample; returns float task losses and total."""
     with Tape() as tape:
         losses = sample_losses(model, sample)
-        total, weights = combine_losses(losses, ema)
+        total = combine_losses(losses, weights)
         tape.backward(mul(total, batch_scale))
-    return ({t: float(v.data) for t, v in losses.items()},
-            float(total.data), weights)
+    return {t: float(v.data) for t, v in losses.items()}, float(total.data)
 
 
 def train(cfg: ArchConfig, data, options: RunOptions,
@@ -147,25 +145,28 @@ def train(cfg: ArchConfig, data, options: RunOptions,
         lr = lr_schedule(step, sched)
         zero_grad(model.flat.values())
         picks = rng.integers(0, len(samples), options.batch_size)
+        weights = task_weights(cfg.tasks, ema)
         sums = {t: 0.0 for t in cfg.tasks}
         total_sum = 0.0
-        weights = {}
         for idx in picks:
-            per_task, total, weights = _step_losses(
-                model, samples[idx], ema, 1.0 / options.batch_size)
+            per_task, total = _step_losses(
+                model, samples[idx], weights, 1.0 / options.batch_size)
             for t, v in per_task.items():
                 sums[t] += v
             total_sum += total
         mean_total = total_sum / options.batch_size
         if not np.isfinite(mean_total):
             raise NumericsError(f"non-finite loss at step {step}")
+        means = {t: sums[t] / options.batch_size for t in cfg.tasks}
+        if ema is not None:
+            update_ema(ema, means)
         grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data)
                  for name, p in model.flat.items()}
         adamw_step(model.flat, grads, opt, lr)
         metrics.append({
             "step": step, "lr": lr, "total": mean_total,
-            "losses": {t: sums[t] / options.batch_size for t in cfg.tasks},
-            "weights": {t: float(w) for t, w in weights.items()},
+            "losses": means,
+            "weights": weights,
         })
 
     final = evaluate(model, samples)
@@ -221,9 +222,7 @@ def save_checkpoint(path, model: Model, opt: OptimState | None,
         if opt is None:
             f.write(struct.pack("<B", 0))
         else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<ddddQ", opt.beta1, opt.beta2, opt.eps,
-                                opt.weight_decay, opt.step))
+            f.write(struct.pack("<BdQ", 1, opt.weight_decay, opt.step))
             for name in model.flat:
                 f.write(np.ascontiguousarray(
                     opt.m.get(name, np.zeros_like(model.flat[name].data))).tobytes())
@@ -247,6 +246,13 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int) -> str:
+        raw = bytes(self.take(n))
+        try:
+            return raw.decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"undecodable text at offset {self.off - n + exc.start}") from exc
+
 
 def load_checkpoint(path):
     """Returns (model, optimizer state or None, step, budget hash)."""
@@ -261,9 +267,9 @@ def load_checkpoint(path):
         raise FormatError(f"unknown dtype code {code} at offset 8")
     dt = _CODE_DTYPES[code]
     (cfg_len,) = r.unpack("<I")
-    cfg = cfgmod.from_text(bytes(r.take(cfg_len)).decode())
+    cfg = cfgmod.from_text(r.text(cfg_len))
     (budget_len,) = r.unpack("<I")
-    budget = bytes(r.take(budget_len)).decode()
+    budget = r.text(budget_len)
     (count,) = r.unpack("<I")
 
     model = empty_params(cfg, dtype=dt)  # every tensor is filled below
@@ -273,7 +279,7 @@ def load_checkpoint(path):
     itemsize = np.dtype(dt).itemsize
     for expected_name, p in model.flat.items():
         (nlen,) = r.unpack("<H")
-        name = bytes(r.take(nlen)).decode()
+        name = r.text(nlen)
         if name != expected_name:
             raise FormatError(f"tensor order mismatch: file has {name!r} where "
                               f"{expected_name!r} belongs")
@@ -286,8 +292,8 @@ def load_checkpoint(path):
     (has_opt,) = r.unpack("<B")
     opt = None
     if has_opt:
-        b1, b2, eps, wd, ostep = r.unpack("<ddddQ")
-        opt = OptimState(beta1=b1, beta2=b2, eps=eps, weight_decay=wd, step=ostep)
+        wd, ostep = r.unpack("<dQ")
+        opt = OptimState(weight_decay=wd, step=ostep)
         for name, p in model.flat.items():
             n = p.data.size * itemsize
             opt.m[name] = np.frombuffer(r.take(n), dtype=dt).reshape(p.data.shape).copy()
@@ -316,13 +322,11 @@ def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
             f"samples per tensor must be >= 1, got {samples_per_tensor}")
 
     def loss_value() -> float:
-        total, _ = combine_losses(sample_losses(model, sample))
-        return float(total.data)
+        return float(combine_losses(sample_losses(model, sample)).data)
 
     zero_grad(model.flat.values())
     with Tape() as tape:
-        total, _ = combine_losses(sample_losses(model, sample))
-        tape.backward(total)
+        tape.backward(combine_losses(sample_losses(model, sample)))
 
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -121,9 +121,9 @@ def test_criterion_2_window_geometry_invariants():
 # ------------------------------------------ 3. shared-attention semantics
 
 def _small_shared_cfg(tasks):
-    return ArchConfig(img_size=64, patch_size=4, base_channels=8,
+    return ArchConfig(img_size=64, base_channels=8,
                       stage_depths=(1, 1, 2, 1), encoder_heads=(1, 2, 4, 8),
-                      decoder_heads=(8, 4, 2, 1), window=2, shift=1,
+                      decoder_heads=(8, 4, 2, 1), window=2,
                       tasks=tasks, reference_task=tasks[0],
                       mlp_ratio=2, decoder_mlp_ratio=2, shared_attention=True)
 
@@ -263,9 +263,9 @@ def test_criterion_5_optimization_pipeline():
 # -------------------------------------------------- 6. ablation protocol
 
 def test_criterion_6_ablation_protocol():
-    cfg = ArchConfig(img_size=32, patch_size=4, base_channels=8,
+    cfg = ArchConfig(img_size=32, base_channels=8,
                      stage_depths=(1, 1, 1, 1), encoder_heads=(1, 2, 4, 8),
-                     decoder_heads=(8, 4, 2, 1), window=1, shift=0,
+                     decoder_heads=(8, 4, 2, 1), window=1,
                      tasks=TASKS, reference_task="N",
                      mlp_ratio=2, decoder_mlp_ratio=2)
     data = [generate_sample(s, 32) for s in range(4)]

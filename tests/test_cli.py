@@ -86,6 +86,27 @@ def test_eval_reports_missing_file(capsys, tiny_dataset_path):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_rejects_undecodable_checkpoint_text(tmp_path, capsys, tiny_dataset_path):
+    from mtformer.model import init_params
+    from mtformer.training import save_checkpoint
+    ckpt = tmp_path / "bad.mtck"
+    save_checkpoint(ckpt, init_params(tiny_cfg(tasks=("S", "D")), seed=0), None, 1)
+    blob = ckpt.read_bytes()
+    at = blob.index(b"window=") + len(b"window=")
+    ckpt.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    code = main(["eval", "--ckpt", str(ckpt), "--data", tiny_dataset_path])
+    assert code == 2
+    assert f"offset {at}" in capsys.readouterr().err
+
+
+def test_params_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"window=1\nmlp_ratio=\xff\n")
+    code = main(["params", "--config", str(path)])
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_ablate_emits_rows_and_comparison(tmp_path, capsys, tiny_config_path,
                                           tiny_dataset_path):
     report = tmp_path / "report.jsonl"

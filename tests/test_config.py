@@ -7,8 +7,9 @@ import pytest
 from mtformer.config import (TASKS, ArchConfig, count_parameters, from_text,
                              linear_params, load, preset, require_valid,
                              resolve, save, stage_channels, stage_grids,
-                             task_channels, to_text, validate)
+                             task_channels, to_text, validate, window_shift)
 from mtformer.errors import ConfigurationError
+from mtformer.synthetic import NUM_CLASSES
 
 
 def test_presets_are_valid():
@@ -22,10 +23,8 @@ def test_preset_values_pinned():
     assert large.stage_depths == (2, 2, 18, 2)
     assert large.encoder_heads == (6, 12, 24, 48)
     assert large.decoder_heads == (48, 24, 12, 6)
-    assert large.window == 7 and large.shift == 3
-    assert large.patch_size == 4
+    assert large.window == 7 and window_shift(large) == 3
     assert large.reference_task == "N"
-    assert large.seg_classes == 8
     assert large.shared_attention
 
     tiny = preset("mult-tiny")
@@ -35,7 +34,7 @@ def test_preset_values_pinned():
     assert nano.img_size == 128 and nano.base_channels == 16
     assert nano.stage_depths == (1, 1, 2, 1)
     assert nano.encoder_heads == (1, 2, 4, 8)
-    assert nano.window == 4 and nano.shift == 2
+    assert nano.window == 4 and window_shift(nano) == 2
     assert stage_grids(nano) == (32, 16, 8, 4)
     assert stage_channels(nano) == (16, 32, 64, 128)
 
@@ -50,9 +49,10 @@ def test_unknown_preset_lists_valid_names():
 def test_validation_catches_geometry_violations():
     nano = preset("desk-nano")
     assert any("divide" in p for p in validate(replace(nano, window=3)))
-    assert any("shift" in p for p in validate(replace(nano, shift=4)))
-    assert any("divisible by 8" in p for p in validate(replace(nano, img_size=16)))
-    assert any("patch_size" in p for p in validate(replace(nano, img_size=130)))
+    for size in (16, 130, 0, -32):
+        assert any("img_size must be a positive multiple of 32" in p
+                   for p in validate(replace(nano, img_size=size))), size
+    assert any("window must be >= 1" in p for p in validate(replace(nano, window=0)))
     assert any("encoder_heads" in p for p in validate(replace(nano, encoder_heads=(3, 2, 4, 8))))
     assert any("decoder_heads" in p for p in validate(replace(nano, decoder_heads=(7, 4, 2, 1))))
     assert any("reference_task" in p for p in validate(replace(nano, tasks=("S", "D"))))
@@ -65,13 +65,12 @@ def test_validation_catches_geometry_violations():
 
 
 def test_task_channels():
-    nano = preset("desk-nano")
-    assert task_channels(nano, "S") == 8
-    assert task_channels(nano, "N") == 3
+    assert task_channels("S") == NUM_CLASSES == 8
+    assert task_channels("N") == 3
     for t in "DKER":
-        assert task_channels(nano, t) == 1
+        assert task_channels(t) == 1
     with pytest.raises(ConfigurationError):
-        task_channels(nano, "Q")
+        task_channels("Q")
 
 
 # ------------------------------------------------------------ parameter count
@@ -196,6 +195,11 @@ def test_unknown_key_is_an_error():
     with pytest.raises(ConfigurationError) as err:
         from_text("img_size=128\nwidht=7\n")
     assert "widht" in str(err.value)
+    # patch size, shift and class count are fixed, not configured
+    for key in ("patch_size", "shift", "seg_classes"):
+        with pytest.raises(ConfigurationError) as err:
+            from_text(f"{key}=4\n")
+        assert key in str(err.value)
 
 
 def test_malformed_and_duplicate_lines_rejected():
@@ -210,8 +214,8 @@ def test_malformed_and_duplicate_lines_rejected():
 
 
 def test_comments_and_partial_files_allowed():
-    cfg = from_text("# tiny tweak\nwindow=2\nshift=1\n\n")
-    assert cfg.window == 2 and cfg.shift == 1
+    cfg = from_text("# tiny tweak\nwindow=2\nmlp_ratio=3\n\n")
+    assert cfg.window == 2 and cfg.mlp_ratio == 3
     assert cfg.img_size == ArchConfig().img_size
 
 

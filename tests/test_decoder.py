@@ -14,6 +14,7 @@ from mtformer.encoder import encode
 from mtformer.errors import DimensionError
 from mtformer.layers import BlockP, LinearP, NormP
 from mtformer.model import forward, init_params
+from mtformer.synthetic import NUM_CLASSES
 from mtformer.tensor import Tape, Tensor, grad_check, mean, mul, take_rows
 from mtformer.windowing import WindowGrid
 
@@ -26,9 +27,9 @@ def _linear(c_in, c_out, rng, scale=1.0):
 
 
 def _small_cfg(**over):
-    base = dict(img_size=64, patch_size=4, base_channels=8,
+    base = dict(img_size=64, base_channels=8,
                 stage_depths=(1, 1, 2, 1), encoder_heads=(1, 2, 4, 8),
-                decoder_heads=(8, 4, 2, 1), window=2, shift=1,
+                decoder_heads=(8, 4, 2, 1), window=2,
                 tasks=("S", "D", "N"), reference_task="N")
     base.update(over)
     return config.require_valid(config.ArchConfig(**base))
@@ -330,11 +331,11 @@ def test_task_slice_matches_single_task_model(shared):
 def test_task_head_shapes_and_activations():
     cfg = _small_cfg(tasks=("S", "D", "N", "K", "E", "R"))
     m = init_params(cfg, seed=1)
-    side = cfg.img_size // cfg.patch_size
+    side = cfg.img_size // config.PATCH
     y = Tensor(RNG.uniform(-1, 1, (side * side, cfg.base_channels)))
 
     s = task_head(y, "S", cfg, m.heads["S"]).data
-    assert s.shape == (64, 64, cfg.seg_classes)
+    assert s.shape == (64, 64, NUM_CLASSES)
     np.testing.assert_allclose(s.sum(-1), 1.0, atol=1e-9)
     assert (s > 0).all()
 

@@ -7,7 +7,7 @@ import pytest
 
 from mtformer.errors import ConfigurationError, DataError, DimensionError
 from mtformer.losses import (EMA_BETA, combine_losses, per_task_loss,
-                             relative_performance, update_ema)
+                             relative_performance, task_weights, update_ema)
 from mtformer.tensor import Tape, Tensor, grad_check, softmax_lastdim
 
 RNG = np.random.default_rng(404)
@@ -90,16 +90,16 @@ def _scalars(**vals):
 
 
 def test_static_uniform_weights_average():
-    total, w = combine_losses(_scalars(D=1.0, N=3.0))
+    total = combine_losses(_scalars(D=1.0, N=3.0))
     assert abs(float(total.data) - 2.0) < 1e-12
-    assert w == {"D": 1.0, "N": 1.0}
+    assert task_weights(("D", "N")) == task_weights(("D", "N"), {}) == {"D": 1.0, "N": 1.0}
 
 
 def test_static_combination_is_homogeneous():
     base = _scalars(S=0.3, D=1.2, N=0.7)
     scaled = _scalars(S=1.5, D=6.0, N=3.5)
-    t1, _ = combine_losses(base)
-    t2, _ = combine_losses(scaled)
+    t1 = combine_losses(base)
+    t2 = combine_losses(scaled)
     assert abs(float(t2.data) - 5.0 * float(t1.data)) < 1e-12
 
 
@@ -107,16 +107,24 @@ def test_combination_errors():
     with pytest.raises(ConfigurationError):
         combine_losses({})
     with pytest.raises(ConfigurationError):
-        combine_losses({}, ema={})
+        combine_losses({}, weights={})
+
+
+def test_combination_leaves_the_weights_alone():
+    weights = {"D": 1.6, "N": 0.4}
+    total = combine_losses(_scalars(D=1.0, N=4.0), weights)
+    assert abs(float(total.data) - 1.6) < 1e-12
+    assert weights == {"D": 1.6, "N": 0.4}
 
 
 def test_inverse_ema_steady_state_weights():
     ema = {}
     for _ in range(40):
-        total, w = combine_losses(_scalars(D=1.0, N=4.0), ema)
+        update_ema(ema, {"D": 1.0, "N": 4.0})
+    w = task_weights(("D", "N"), ema)
     assert abs(w["D"] - 1.6) < 1e-12
     assert abs(w["N"] - 0.4) < 1e-12
-    assert abs(float(total.data) - 1.6) < 1e-12
+    assert abs(float(combine_losses(_scalars(D=1.0, N=4.0), w).data) - 1.6) < 1e-12
     assert abs(sum(w.values()) - 2.0) < 1e-12
 
 
@@ -124,12 +132,11 @@ def test_inverse_ema_rebalances_toward_smaller_scale():
     # when one loss grows it gets downweighted so raw scale differences do
     # not dominate the sum; the small-loss task's weight climbs toward its
     # steady-state value 2 * (1/1) / (1/1 + 1/5) = 5/3
-    ema = {}
-    combine_losses(_scalars(D=1.0, N=1.0), ema)
+    ema = update_ema({}, {"D": 1.0, "N": 1.0})
     history = []
     for _ in range(30):
-        _, w = combine_losses(_scalars(D=1.0, N=5.0), ema)
-        history.append(w["D"])
+        update_ema(ema, {"D": 1.0, "N": 5.0})
+        history.append(task_weights(("D", "N"), ema)["D"])
     assert all(b > a for a, b in zip(history, history[1:]))
     assert 1.0 < history[-1] < 5.0 / 3.0
 
@@ -146,16 +153,14 @@ def test_combined_total_backpropagates():
     with Tape() as tape:
         losses = {"D": per_task_loss("D", x, np.array([0.0, 0.0])),
                   "N": per_task_loss("N", x, np.array([1.0, 1.0]))}
-        total, _ = combine_losses(losses)
-        tape.backward(total)
+        tape.backward(combine_losses(losses))
     # D pulls toward 0 (+sign), N pulls toward 1 (-sign); each mean has 1/2,
     # each task weight 1/2 -> |grad| = 0 elementwise
     np.testing.assert_allclose(x.grad, np.zeros(2), atol=1e-15)
 
     x = Tensor(np.array([0.4, 0.6]), requires_grad=True)
     with Tape() as tape:
-        total, _ = combine_losses({"D": per_task_loss("D", x, np.array([0.0, 0.0]))})
-        tape.backward(total)
+        tape.backward(combine_losses({"D": per_task_loss("D", x, np.array([0.0, 0.0]))}))
     np.testing.assert_allclose(x.grad, np.full(2, 0.5), atol=1e-15)
 
 

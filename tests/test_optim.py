@@ -32,7 +32,7 @@ def test_zero_grad_decay_shrinks_exactly():
 def test_first_step_unit_gradient_pinned():
     # m_hat = v_hat = 1 on the first step, so theta moves by lr/(1+eps)
     p = _params(w=[0.7])
-    state = OptimState(weight_decay=0.0, eps=1e-8)
+    state = OptimState(weight_decay=0.0)
     adamw_step(p, {"w": np.ones(1)}, state, lr=0.01)
     want = 0.7 - 0.01 / (1.0 + 1e-8)
     assert abs(p["w"].data[0] - want) < 1e-15

@@ -1,12 +1,12 @@
 """Training loop, evaluation, checkpoint format, and model-level grad checks."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from mtformer.config import ArchConfig
+from mtformer.config import ABLATION_AXES, ArchConfig
 from mtformer.errors import (ConfigurationError, DataError, DimensionError,
                              FormatError, NumericsError)
 from mtformer.synthetic import generate_sample
@@ -17,9 +17,9 @@ from mtformer.training import (RunOptions, budget_hash, check_model_gradients,
 
 def tiny_cfg(tasks=("S", "D"), shared=True, **overrides):
     """Smallest legal geometry: 32px image, 8 channels, window 1."""
-    base = ArchConfig(img_size=32, patch_size=4, base_channels=8,
+    base = ArchConfig(img_size=32, base_channels=8,
                       stage_depths=(1, 1, 1, 1), encoder_heads=(1, 2, 4, 8),
-                      decoder_heads=(8, 4, 2, 1), window=1, shift=0,
+                      decoder_heads=(8, 4, 2, 1), window=1,
                       tasks=tasks, reference_task=tasks[0],
                       mlp_ratio=2, decoder_mlp_ratio=2, shared_attention=shared)
     return replace(base, **overrides) if overrides else base
@@ -236,11 +236,13 @@ def test_checkpoint_rejects_bad_version(tmp_path):
 
 
 def test_checkpoint_rejects_per_task_layout_version_1(tmp_path):
-    # version 1 stored one tensor per task decoder; those files cannot load
+    # version 1 stored one tensor per task decoder, version 2 the patch size,
+    # shift, class count and Adam betas/eps; those files cannot load
     path, blob = _valid_ckpt_bytes(tmp_path)
-    path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
-    with pytest.raises(FormatError, match="version 1"):
-        load_checkpoint(path)
+    for version in (1, 2):
+        path.write_bytes(blob[:4] + version.to_bytes(4, "little") + blob[8:])
+        with pytest.raises(FormatError, match=f"version {version}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_dtype_code(tmp_path):
@@ -280,7 +282,7 @@ def test_train_rejects_empty_and_mismatched_data():
     with pytest.raises(DimensionError, match="64px"):
         train(cfg, tiny_data(count=1, size=64), tiny_options())
     with pytest.raises(ConfigurationError):
-        train(replace(cfg, patch_size=5), tiny_data(count=1), tiny_options())
+        train(replace(cfg, window=3), tiny_data(count=1), tiny_options())
 
 
 def test_evaluate_rejects_empty_and_mismatched_data():
@@ -307,8 +309,14 @@ def test_budget_hash_ignores_ablation_axes_only():
     # the quantities ablations sweep do not move the hash
     assert budget_hash(tiny_cfg(tasks=("S",)), opts, data) == base
     assert budget_hash(tiny_cfg(tasks=("S", "D", "N"), shared=False), opts, data) == base
-    # everything else does
-    assert budget_hash(tiny_cfg(base_channels=16), opts, data) != base
+    assert budget_hash(tiny_cfg(reference_task="D"), opts, data) == base
+    # every other config field does, and so does the budget and the data
+    moved = {"img_size": 64, "base_channels": 16, "stage_depths": (1, 1, 2, 1),
+             "encoder_heads": (1, 2, 4, 4), "decoder_heads": (4, 4, 2, 1),
+             "window": 2, "mlp_ratio": 3, "decoder_mlp_ratio": 3}
+    assert set(moved) == {f.name for f in fields(ArchConfig)} - set(ABLATION_AXES)
+    for name, value in moved.items():
+        assert budget_hash(tiny_cfg(**{name: value}), opts, data) != base, name
     assert budget_hash(tiny_cfg(), tiny_options(steps=4), data) != base
     assert budget_hash(tiny_cfg(), tiny_options(peak_lr=2e-3), data) != base
     assert budget_hash(tiny_cfg(), opts, tiny_data(count=2, base_seed=50)) != base
@@ -331,6 +339,37 @@ def test_inverse_ema_mode_produces_moving_weights():
     # after the first update the two tasks are no longer equally weighted
     late = res.metrics[-2]["weights"]
     assert late["S"] != late["D"]
+
+
+def test_inverse_ema_applies_one_weight_set_per_step(monkeypatch):
+    from mtformer import training
+    seen, real = [], training.combine_losses
+
+    def spy(losses, weights=None):
+        seen.append(dict(weights))
+        return real(losses, weights)
+
+    monkeypatch.setattr(training, "combine_losses", spy)
+    cfg, data = tiny_cfg(), tiny_data()
+    res = train(cfg, data, tiny_options(steps=3, batch_size=4, balance="inverse-ema"))
+    steps = res.metrics[:-1]
+    assert len(seen) == 4 * len(steps)
+    for step, rec in enumerate(steps):
+        # every sample of the batch is weighted alike, by the logged weights
+        assert seen[4 * step:4 * step + 4] == [rec["weights"]] * 4, step
+    assert steps[0]["weights"] == {"S": 1.0, "D": 1.0}
+    assert steps[-1]["weights"]["S"] != steps[-1]["weights"]["D"]
+
+
+def test_inverse_ema_weights_follow_earlier_step_means():
+    from mtformer.losses import task_weights, update_ema
+    cfg, data = tiny_cfg(), tiny_data()
+    res = train(cfg, data, tiny_options(steps=4, batch_size=4, balance="inverse-ema"))
+    ema = {}
+    for rec in res.metrics[:-1]:
+        # the EMA of the earlier steps' batch means, updated once per step
+        assert rec["weights"] == task_weights(cfg.tasks, ema), rec["step"]
+        update_ema(ema, rec["losses"])
 
 
 def test_train_rejects_unknown_balance():
