@@ -1,14 +1,16 @@
 """numpy-backed tensors with reverse-mode automatic differentiation.
 
-Ops executed while a Tape is active append one record each (output tensor,
-parent tensors, backward closure).  Records are appended in execution
+Ops executed while a Tape is active append one record each, in execution
 order, so walking them in reverse is a valid topological order and visits
-every recorded op exactly once.  Backward frees each gradient once its
-record has consumed it and writes ``.grad`` only to leaves (tensors no
-record produced, such as parameters) and to the loss; intermediate tensors
-keep ``.grad is None``.  ``.grad`` is an accumulator: the first write is a
-private copy, later backward passes add into that same array in place, so
-call :func:`zero_grad` between optimizer steps.
+every recorded op exactly once.  A record keeps only what its backward
+reads (see :class:`Tape`): a tape pins no output and no operand a later
+gradient does not need, so an activation dies as soon as neither the
+caller nor a backward closure holds it.  Backward frees each gradient once
+its record has consumed it and writes ``.grad`` only to leaves (tensors no
+record on the tape produced, such as parameters) and to the loss;
+intermediate tensors keep ``.grad is None``.  ``.grad`` is an accumulator:
+the first write is a private copy, later backward passes add into that
+same array in place, so call :func:`zero_grad` between optimizer steps.
 
 Everything here is single threaded.  Tensors are treated as immutable once
 created; the finite-difference probe perturbs one element in place and
@@ -19,6 +21,7 @@ incoming gradient, which other records may share.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -39,12 +42,27 @@ class Tape:
 
     Use as a context manager; ops run outside any tape compute values only,
     which is how inference paths avoid graph bookkeeping.
+
+    A record is ``(parents, backward)``.  ``parents`` has one entry per
+    operand: the index on this tape of the record that produced it, the
+    operand itself when it is a leaf that requires grad (its ``.grad`` is
+    written), or None for a constant, which the record does not hold.
+    ``backward`` maps the output's gradient to one gradient per operand (None
+    where none is needed) and captures only the arrays it reads, plus shapes,
+    dtypes and ``requires_grad`` flags; it never captures a Tensor.  An
+    output produced on a tape carries ``(tape serial, record index)``, an
+    integer pair rather than the tape or the record, so nothing refers back
+    from a Tensor to the tape and a dropped tape is freed by reference
+    counting alone.  A serial is never reused, so an output of one tape is a
+    leaf on any other.
     """
 
     current: "Tape | None" = None
+    _serials = itertools.count()
 
     def __init__(self) -> None:
         self._records: list = []
+        self._serial = next(Tape._serials)
 
     def __enter__(self) -> "Tape":
         self._outer = Tape.current
@@ -74,30 +92,44 @@ class Tape:
         if not loss.requires_grad:
             raise DataError("loss does not depend on any tensor that requires grad")
         seed = np.ones_like(loss.data)
-        grads = {id(loss): (loss, seed)}
-        for out, parents, backward in reversed(self._records):
-            entry = grads.pop(id(out), None)
-            if entry is None:
+        grads = {}  # record index, or leaf Tensor (held by a record) -> gradient
+        node = loss._node
+        if node is not None and node[0] == self._serial:
+            grads[node[1]] = seed
+        for index in reversed(range(len(self._records))):
+            g = grads.pop(index, None)
+            if g is None:
                 continue  # op does not feed this loss
-            for parent, pg in zip(parents, backward(entry[1])):
-                if pg is None or not parent.requires_grad:
+            parents, backward = self._records[index]
+            for parent, pg in zip(parents, backward(g)):
+                if parent is None or pg is None:
                     continue
-                prev = grads.get(id(parent))
+                prev = grads.get(parent)
                 # never mutate a stored array in place; closures may alias them
-                grads[id(parent)] = (parent, pg if prev is None else prev[1] + pg)
-        grads[id(loss)] = (loss, seed)  # popped above if an op produced the loss
-        for tensor, g in grads.values():
+                grads[parent] = pg if prev is None else prev + pg
+        grads[loss] = seed  # every index was popped: only leaves remain
+        for tensor, g in grads.items():
             if tensor.grad is None:
                 tensor.grad = g.astype(tensor.data.dtype, copy=True)
             else:
                 tensor.grad += g
         return len(self._records)
 
+    def _parent(self, t: "Tensor"):
+        """How a record names operand ``t``: see the class docstring."""
+        if not t.requires_grad:
+            return None
+        node = t._node
+        return node[1] if node is not None and node[0] == self._serial else t
+
 
 class Tensor:
-    """A dense float array plus an optional gradient buffer of the same shape."""
+    """A dense float array plus an optional gradient buffer of the same shape.
 
-    __slots__ = ("data", "grad", "requires_grad")
+    ``_node`` is ``(tape serial, record index)`` for an op output recorded on
+    a tape, else None."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -106,6 +138,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
+        self._node: tuple | None = None
 
     @property
     def shape(self):
@@ -137,7 +170,8 @@ def _from_op(data, parents, backward) -> Tensor:
     out = Tensor(data, requires_grad=req)
     tape = Tape.current
     if req and tape is not None:
-        tape._records.append((out, parents, backward))
+        out._node = (tape._serial, len(tape._records))
+        tape._records.append((tuple(tape._parent(p) for p in parents), backward))
     return out
 
 
@@ -172,10 +206,11 @@ def add(a, b) -> Tensor:
     a = _ensure(a, b if isinstance(b, Tensor) else None)
     b = _ensure(b, a)
     data = a.data + b.data
+    a_shape, b_shape, a_req, b_req = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a_shape) if a_req else None,
+                _unbroadcast(g, b_shape) if b_req else None)
 
     return _from_op(data, (a, b), backward)
 
@@ -184,10 +219,11 @@ def sub(a, b) -> Tensor:
     a = _ensure(a, b if isinstance(b, Tensor) else None)
     b = _ensure(b, a)
     data = a.data - b.data
+    a_shape, b_shape, a_req, b_req = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a_shape) if a_req else None,
+                _unbroadcast(-g, b_shape) if b_req else None)
 
     return _from_op(data, (a, b), backward)
 
@@ -196,10 +232,13 @@ def mul(a, b) -> Tensor:
     a = _ensure(a, b if isinstance(b, Tensor) else None)
     b = _ensure(b, a)
     data = a.data * b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_data = a.data if b.requires_grad else None  # each gradient reads the other operand
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _from_op(data, (a, b), backward)
 
@@ -208,10 +247,12 @@ def div(a, b) -> Tensor:
     a = _ensure(a, b if isinstance(b, Tensor) else None)
     b = _ensure(b, a)
     data = a.data / b.data
+    a_shape, b_shape, a_req, b_data = a.data.shape, b.data.shape, a.requires_grad, b.data
+    a_data = a.data if b.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None
+        ga = _unbroadcast(g / b_data, a_shape) if a_req else None
+        gb = None if a_data is None else _unbroadcast(-g * a_data / (b_data * b_data), b_shape)
         return ga, gb
 
     return _from_op(data, (a, b), backward)
@@ -233,23 +274,25 @@ def _check_matmul(a, b) -> None:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
 
 
-def _matmul_grads(g, a: Tensor, b: Tensor):
-    ga = gb = None
-    if a.requires_grad:
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-    if b.requires_grad:
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
-    return ga, gb
+def _matmul_backward(a: Tensor, b: Tensor):
+    """Gradient closure of ``a @ b``; it keeps an operand's data only when
+    the other operand's gradient reads it."""
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+
+    def backward(g):
+        ga = None if b_data is None else _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape)
+        gb = None if a_data is None else _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape)
+        return ga, gb
+
+    return backward
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product; leading axes broadcast, both operands rank >= 2."""
     _check_matmul(a, b)
-
-    def backward(g):
-        return _matmul_grads(g, a, b)
-
-    return _from_op(a.data @ b.data, (a, b), backward)
+    return _from_op(a.data @ b.data, (a, b), _matmul_backward(a, b))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -267,10 +310,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     product_shape = data.shape
     out = _into(data, b.data) if _broadcasts_to(b.data.shape, product_shape) else None
     data = np.add(data, b.data, out=out)
+    product_backward = _matmul_backward(x, w)
+    b_shape, b_req = b.data.shape, b.requires_grad
 
     def backward(g):
-        gx, gw = _matmul_grads(_unbroadcast(g, product_shape), x, w)
-        return gx, gw, _unbroadcast(g, b.data.shape) if b.requires_grad else None
+        gx, gw = product_backward(_unbroadcast(g, product_shape))
+        return gx, gw, _unbroadcast(g, b_shape) if b_req else None
 
     return _from_op(data, (x, w, b), backward)
 
@@ -278,9 +323,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = a.data.reshape(shape)
+    a_shape = a.data.shape
 
     def backward(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(a_shape),)
 
     return _from_op(data, (a,), backward)
 
@@ -316,12 +362,13 @@ def roll(a: Tensor, shift, axis) -> Tensor:
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    a_shape = a.data.shape
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape),)
+            return (np.broadcast_to(g, a_shape),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape),)
+        return (np.broadcast_to(gg, a_shape),)
 
     return _from_op(data, (a,), backward)
 
@@ -338,10 +385,11 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
+    x = a.data
+    data = np.log(x)
 
     def backward(g):
-        return (g / a.data,)
+        return (g / x,)
 
     return _from_op(data, (a,), backward)
 
@@ -356,10 +404,11 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def abs_(a: Tensor) -> Tensor:
-    data = np.abs(a.data)
+    x = a.data
+    data = np.abs(x)
 
     def backward(g):
-        return (g * np.sign(a.data),)
+        return (g * np.sign(x),)
 
     return _from_op(data, (a,), backward)
 
@@ -428,15 +477,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat *= inv
     data = np.multiply(xhat, gamma.data, out=_into(data, gamma.data))
     data = np.add(data, beta.data, out=_into(data, beta.data))
+    # backward reads xhat and inv, never x itself
+    gamma_shape, beta_shape = gamma.data.shape, beta.data.shape
+    gamma_req, beta_req = gamma.requires_grad, beta.requires_grad
+    gamma_data = gamma.data if x.requires_grad else None
 
     def backward(g):
         gx = ggamma = gbeta = None
-        if gamma.requires_grad:
-            ggamma = _unbroadcast(g * xhat, gamma.data.shape)
-        if beta.requires_grad:
-            gbeta = _unbroadcast(g, beta.data.shape)
-        if x.requires_grad:
-            gx = g * gamma.data  # d loss / d xhat
+        if gamma_req:
+            ggamma = _unbroadcast(g * xhat, gamma_shape)
+        if beta_req:
+            gbeta = _unbroadcast(g, beta_shape)
+        if gamma_data is not None:
+            gx = g * gamma_data  # d loss / d xhat
             t = gx * xhat
             m2 = t.mean(axis=-1, keepdims=True)
             gx -= gx.mean(axis=-1, keepdims=True)
@@ -478,9 +531,10 @@ def take_rows(table: Tensor, idx) -> Tensor:
             f"take_rows index out of range [0, {table.data.shape[0]}): "
             f"min {idx.min()}, max {idx.max()}")
     data = table.data[idx]
+    shape, dtype = table.data.shape, table.data.dtype
 
     def backward(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype)
         if idx.ndim:
             np.add.at(gt, idx, g)
         else:  # one row: 0 + g, exactly what np.add.at computes
@@ -501,9 +555,10 @@ def gather_lastdim(x: Tensor, labels) -> Tensor:
         raise DataError(
             f"labels out of range [0, {x.data.shape[-1]}): min {labels.min()}, max {labels.max()}")
     data = np.take_along_axis(x.data, labels[..., None], axis=-1)[..., 0]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         np.put_along_axis(gx, labels[..., None], g[..., None], axis=-1)
         return (gx,)
 
@@ -542,6 +597,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     if not np.isfinite(y.data).all():
         raise OracleError("f(x) is not finite at the probe point")
     tape.backward(y)
+    del tape  # its records pin f's intermediates through every probe below
     if x.grad is None:
         raise OracleError("f(x) does not depend on the probe tensor")
     analytic = x.grad.copy()

@@ -168,6 +168,7 @@ def train(cfg: ArchConfig, data, options: RunOptions,
             "losses": means,
             "weights": weights,
         })
+    zero_grad(model.flat.values())  # the last step's gradients are spent
 
     final = evaluate(model, samples)
     metrics.append({"final_eval": True, "step": options.steps, "losses": final})
@@ -327,6 +328,7 @@ def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
     zero_grad(model.flat.values())
     with Tape() as tape:
         tape.backward(combine_losses(sample_losses(model, sample)))
+    del tape  # its records pin the sample's activations through every probe below
 
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -1,11 +1,12 @@
 """Model assembly: parameter registry, initialization, end to end forward."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mtformer import config
+from mtformer import config, tensor
 from mtformer.losses import combine_losses, per_task_loss
 from mtformer.model import INIT_STD, Model, forward, init_params
 from mtformer.synthetic import generate_sample
@@ -100,8 +101,17 @@ def test_init_dtype_control():
     assert all(t.data.dtype == np.float64 for t in m64.flat.values())
 
 
-def test_float32_model_computes_in_float32():
+def test_float32_model_computes_in_float32(monkeypatch):
     # a float64 constant such as the shift mask would promote every op after it
+    taped = []
+
+    def recording(data, parents, backward, _from_op=tensor._from_op):
+        out = _from_op(data, parents, backward)
+        if out._node is not None:
+            taped.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(tensor, "_from_op", recording)
     cfg = config.preset("desk-nano")
     m = init_params(cfg, seed=0, dtype=np.float32)
     sample = generate_sample(0, cfg.img_size)
@@ -109,7 +119,8 @@ def test_float32_model_computes_in_float32():
         preds = forward(m, Tensor(np.asarray(sample.rgb, dtype=np.float32)))
         losses = {t: per_task_loss(t, preds[t], sample.target(t)) for t in cfg.tasks}
         tape.backward(combine_losses(losses))
-    assert {out.dtype for out, _, _ in tape._records} == {np.dtype(np.float32)}
+    assert len(taped) == len(tape), "every taped output was seen"
+    assert set(taped) == {np.dtype(np.float32)}
     assert all(p.dtype == np.float32 for p in preds.values())
 
 
@@ -128,6 +139,25 @@ def test_taped_sample_records_at_most_740_ops():
     cfg = config.preset("desk-nano")
     tape, _ = _taped_loss(cfg, init_params(cfg, seed=0), generate_sample(0, cfg.img_size))
     assert len(tape) <= 740, len(tape)
+
+
+def test_one_taped_sample_pins_at_most_60_mib():
+    # a tape keeps only what its backward closures read: 55 MiB for one
+    # desk-nano sample, against 98 MiB when every record held its output
+    # and operands
+    cfg = config.preset("desk-nano")
+    m = init_params(cfg, seed=0)
+    sample = generate_sample(0, cfg.img_size)
+    _taped_loss(cfg, m, sample)  # build the cached masks and index tables first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape, total = _taped_loss(cfg, m, sample)
+        pinned = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tape) > 700 and total.requires_grad
+    assert pinned < 60 * 2**20, pinned / 2**20
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])

@@ -1,7 +1,9 @@
 """Tests for the autodiff core: op values, gradients, tape semantics."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -358,11 +360,13 @@ def test_backward_writes_grad_to_leaves_and_loss_only():
     with Tape() as tape:
         h = T.matmul(x, w)
         a = T.gelu(h)
-        loss = T.sum_(T.mul(a, a))
+        sq = T.mul(a, a)
+        loss = T.sum_(sq)
         tape.backward(loss)
+    assert len(tape) == 4, "h, a, sq and loss are every taped output"
     assert x.grad is not None and w.grad is not None
     assert loss.grad == np.ones(1)
-    assert all(out.grad is None for out, _, _ in tape._records if out is not loss)
+    assert all(out.grad is None for out in (h, a, sq))
 
 
 @pytest.mark.parametrize("n", [10, 100])
@@ -381,6 +385,148 @@ def test_backward_peak_memory_does_not_grow_with_chain_length(n):
     finally:
         tracemalloc.stop()
     assert peak < 5 * x.data.nbytes
+
+
+# ------------------------------------------------------------ tape memory plan
+
+def test_add_inputs_die_once_no_later_record_reads_them():
+    # add's backward needs only shapes, and mul by a constant and neg keep
+    # nothing of their outputs, so no record holds u, v or s
+    x = Tensor(np.linspace(-1.0, 1.0, 8), requires_grad=True)
+    with Tape() as tape:
+        u = T.mul(x, 2.0)
+        v = T.neg(x)
+        s = T.add(u, v)
+        loss = T.sum_(s)
+    refs = [weakref.ref(t.data) for t in (u, v, s)]
+    del u, v, s
+    assert [r() for r in refs] == [None, None, None]
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, np.ones(8))
+
+
+def test_gradients_hold_while_freed_intermediates_hand_their_ids_on():
+    # every pass frees intermediates and then creates a new leaf, so CPython
+    # hands a freed intermediate's id to a leaf mid-forward; a sweep keyed
+    # by id() of tensors the tape no longer holds would add that leaf's
+    # gradient into the freed intermediate's and corrupt x's
+    rng = np.random.default_rng(15)
+    x = _rand(rng, 3, 4)
+    w = Tensor(rng.normal(size=(4, 4)))
+    seen, reused = set(), []
+
+    def f(t):
+        h = t
+        for i in range(6):
+            scale = Tensor(np.full((1, 4), 0.5 + 0.1 * i), requires_grad=True)
+            z = T.add(T.matmul(h, w), scale)
+            h = T.gelu(T.mul(z, scale))
+            for made in (scale, z, h):
+                reused.append(id(made) in seen)
+                seen.add(id(made))
+            del z, scale
+        return T.sum_(T.mul(h, h))
+
+    err = T.grad_check(f, x)
+    assert any(reused), "no id was handed on, so the hazard was not exercised"
+    assert err < 1e-6
+
+
+def test_dropping_a_taped_graph_frees_it_without_the_cycle_collector():
+    # a reference cycle through a Tensor, a closure and the tape would keep
+    # every activation alive until the cyclic collector ran
+    rng = np.random.default_rng(16)
+    x = _rand(rng, 64, 64)
+    w = Tensor(rng.normal(size=(64, 64)) / 8.0, requires_grad=True)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            h = x
+            for _ in range(6):
+                h = T.gelu(T.layer_norm(T.matmul(h, w), Tensor(np.ones(64)), Tensor(np.zeros(64))))
+            loss = T.mean(T.softmax_lastdim(h))
+        del h
+        pinned = tracemalloc.get_traced_memory()[0] - base
+        tape.backward(loss)
+        T.zero_grad([x, w])
+        del tape, loss
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert pinned > 20 * x.data.nbytes
+    assert left < x.data.nbytes, (pinned, left)
+
+
+NOT_OPS = {"Tensor", "Tape", "central_difference", "grad_check", "zero_grad"}
+
+
+def _held_tensors(fn):
+    """Every Tensor reachable through ``fn``'s closure cells, following nested
+    closures and containers."""
+    found, stack = [], [fn]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
+def test_every_op_records_only_what_its_backward_reads():
+    rng = np.random.default_rng(17)
+    leaf = _rand(rng, 3, 4)
+    square = _rand(rng, 4, 4)
+    row = _rand(rng, 4)
+    cases = {
+        "add": lambda a, m, r, pos: T.add(a, r),
+        "sub": lambda a, m, r, pos: T.sub(a, r),
+        "mul": lambda a, m, r, pos: T.mul(a, r),
+        "div": lambda a, m, r, pos: T.div(a, pos),
+        "neg": lambda a, m, r, pos: T.neg(a),
+        "matmul": lambda a, m, r, pos: T.matmul(a, m),
+        "linear": lambda a, m, r, pos: T.linear(a, m, r),
+        "reshape": lambda a, m, r, pos: T.reshape(a, (4, 3)),
+        "transpose": lambda a, m, r, pos: T.transpose(a, (1, 0)),
+        "swapaxes": lambda a, m, r, pos: T.swapaxes(a, 0, 1),
+        "roll": lambda a, m, r, pos: T.roll(a, 1, 0),
+        "sum_": lambda a, m, r, pos: T.sum_(a, axis=0),
+        "mean": lambda a, m, r, pos: T.mean(a, axis=1),
+        "log": lambda a, m, r, pos: T.log(pos),
+        "sqrt": lambda a, m, r, pos: T.sqrt(pos),
+        "abs_": lambda a, m, r, pos: T.abs_(a),
+        "sigmoid": lambda a, m, r, pos: T.sigmoid(a),
+        "softmax_lastdim": lambda a, m, r, pos: T.softmax_lastdim(a),
+        "layer_norm": lambda a, m, r, pos: T.layer_norm(a, r, T.neg(r)),
+        "gelu": lambda a, m, r, pos: T.gelu(a),
+        "take_rows": lambda a, m, r, pos: T.take_rows(a, np.array([0, 2, 2])),
+        "gather_lastdim": lambda a, m, r, pos: T.gather_lastdim(a, np.array([0, 3, 1])),
+    }
+    assert set(cases) == set(T.__all__) - NOT_OPS, "a new op needs a case here"
+    for name, op in cases.items():
+        for leaf_operand in (False, True):  # intermediate operands, then a leaf one
+            with Tape() as tape:
+                a = leaf if leaf_operand else T.mul(leaf, 1.0)
+                pos = T.add(T.abs_(a), 0.5)
+                out = op(a, T.mul(square, 1.0), T.mul(row, 1.0), pos)
+                loss = T.sum_(T.mul(out, out))
+            for index, (parents, backward) in enumerate(tape._records):
+                assert _held_tensors(backward) == [], (name, index)
+                for parent in parents:
+                    if isinstance(parent, Tensor):  # a leaf: never produced on this tape
+                        assert parent.requires_grad and parent._node is None, (name, index)
+                    else:
+                        assert parent is None or 0 <= parent < index, (name, index)
+            tape.backward(loss)
+            assert leaf.grad is not None and np.isfinite(leaf.grad).all(), name
+            T.zero_grad([leaf, square, row])
 
 
 # ---------------------------------------------------------------- dtype handling

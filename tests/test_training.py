@@ -50,6 +50,11 @@ def test_same_seed_runs_match_exactly():
         np.testing.assert_array_equal(p.data, b.model.flat[name].data)
 
 
+def test_train_returns_no_stale_gradients():
+    result = train(tiny_cfg(), tiny_data(), tiny_options())
+    assert all(p.grad is None for p in result.model.flat.values())
+
+
 def test_different_seed_changes_trajectory():
     cfg, data = tiny_cfg(), tiny_data()
     a = train(cfg, data, tiny_options(seed=7))
