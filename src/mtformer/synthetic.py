@@ -7,6 +7,16 @@ rasterizer), edges come from a Sobel pass over the emitted image, and
 keypoints are Gaussian splats at silhouette corners.  Everything is stored
 float32 (labels uint16) so files round-trip bitwise.
 
+Each solid and each splat is computed only on the pixels it can reach.  A
+solid's footprint lies inside its square [c - r, c + r], so outside that box
+(plus a one-pixel margin against rounding) it changes nothing.  A splat
+exp(-d^2 / 2 sigma^2) is evaluated on the square of half-width SPLAT_RADIUS
+px around its corner: past d = sigma * sqrt(300 ln 2) = 21.63 px its float64
+value is below 2^-150, which rounds to +0 in float32, and the keypoint map is
+stored float32.  A pixel the square leaves out therefore gets the same stored
+value as when every splat covers the whole grid, so the bytes do not depend
+on the cut.
+
 File layout: magic "MTDS", u32 version 1, u32 count, u32 H, u32 W, then per
 sample the fields rgb f32[H,W,3], S u16[H,W], D f32[H,W], N f32[H,W,3],
 K f32[H,W], E f32[H,W], R f32[H,W], row major, little endian, unpadded.
@@ -15,6 +25,7 @@ A sibling "<path>.manifest" lists one seed per line.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -40,6 +51,7 @@ ALBEDO = np.array([
 ])
 
 SPLAT_SIGMA = 1.5  # px
+SPLAT_RADIUS = 23   # px; a splat rounds to +0 in float32 beyond 21.63 px
 NOISE_STD = 0.02
 LUMA = (0.299, 0.587, 0.114)
 
@@ -161,6 +173,14 @@ def _corners(cls: int, cx: float, cy: float, r: float):
     return [(cy + dy, cx + dx) for dy, dx in d]
 
 
+def _span(center: float, half: float, size: int) -> slice:
+    """The pixel indices in [center - half, center + half], clipped to
+    [0, size); empty when the interval misses the image."""
+    lo = int(np.floor(center - half))
+    hi = int(np.ceil(center + half)) + 1
+    return slice(min(max(lo, 0), size), min(max(hi, 0), size))
+
+
 def _light_from_seed(rng) -> np.ndarray:
     az = rng.uniform(0.0, 2.0 * np.pi)
     z = rng.uniform(0.35, 0.9)
@@ -192,13 +212,15 @@ def generate_sample(seed: int, size: int) -> TaskBundle:
         r = rng.uniform(0.08, 0.22)
         z0 = rng.uniform(0.10, 0.55)
         amp = rng.uniform(0.20, 0.40)
-        mask, p, px, py = _shape_field(cls, xx - cx, yy - cy, r)
+        box = (_span(cy * size - 0.5, r * size + 1, size),
+               _span(cx * size - 0.5, r * size + 1, size))
+        mask, p, px, py = _shape_field(cls, xx[box] - cx, yy[box] - cy, r)
         u = np.where(mask, z0 + amp * p, 0.0)
-        front = u > height
-        height = np.where(front, u, height)
-        labels = np.where(front, cls, labels)
-        slope_x = np.where(front, amp * px, slope_x)
-        slope_y = np.where(front, amp * py, slope_y)
+        front = u > height[box]
+        height[box] = np.where(front, u, height[box])
+        labels[box] = np.where(front, cls, labels[box])
+        slope_x[box] = np.where(front, amp * px, slope_x[box])
+        slope_y[box] = np.where(front, amp * py, slope_y[box])
         corners.extend(_corners(cls, cx, cy, r))
 
     depth = 1.0 - height
@@ -209,11 +231,12 @@ def generate_sample(seed: int, size: int) -> TaskBundle:
     shading = np.maximum(normals @ light, 0.0)
 
     heat = np.zeros((size, size))
-    py_grid = yy * size - 0.5
-    px_grid = xx * size - 0.5
+    pixel = coords * size - 0.5  # each pixel centre in pixel units
     for cy, cx in corners:
-        d2 = (py_grid - (cy * size - 0.5)) ** 2 + (px_grid - (cx * size - 0.5)) ** 2
-        heat = np.maximum(heat, np.exp(-d2 / (2.0 * SPLAT_SIGMA ** 2)))
+        cy, cx = cy * size - 0.5, cx * size - 0.5
+        ys, xs = _span(cy, SPLAT_RADIUS, size), _span(cx, SPLAT_RADIUS, size)
+        d2 = (pixel[ys, None] - cy) ** 2 + (pixel[None, xs] - cx) ** 2
+        heat[ys, xs] = np.maximum(heat[ys, xs], np.exp(-d2 / (2.0 * SPLAT_SIGMA ** 2)))
 
     rgb = ALBEDO[labels] * shading[..., None]
     rgb = rgb + rng.normal(0.0, NOISE_STD, rgb.shape)
@@ -258,20 +281,25 @@ def _sample_nbytes(h: int, w: int) -> int:
     return total
 
 
-def dataset_bytes(samples) -> bytes:
-    """The exact byte stream ``write_dataset`` produces for these samples."""
+def dataset_chunks(samples):
+    """Check ``samples`` now, then return an iterator over the byte stream
+    ``write_dataset`` stores for them: the header, then each field's own
+    buffer in file order, without copying any of them into one blob."""
     samples = list(samples)
     if not samples:
         raise DataError("refusing to serialize an empty dataset")
     h, w = samples[0].S.shape
-    parts = [HEADER.pack(MAGIC, VERSION, len(samples), h, w)]
     for i, s in enumerate(samples):
         if s.S.shape != (h, w):
             raise DataError(f"sample {i} is {s.S.shape}, expected {(h, w)}")
-        for name in TaskBundle.FIELDS:
-            arr = np.ascontiguousarray(getattr(s, name), dtype=_SAMPLE_DTYPES[name])
-            parts.append(arr.tobytes())
-    return b"".join(parts)
+
+    def chunks():
+        yield HEADER.pack(MAGIC, VERSION, len(samples), h, w)
+        for s in samples:
+            for name in TaskBundle.FIELDS:
+                arr = np.ascontiguousarray(getattr(s, name), dtype=_SAMPLE_DTYPES[name])
+                yield arr.data.cast("B")  # flat, so len() counts bytes
+    return chunks()
 
 
 def write_dataset(samples, path, seeds=None) -> None:
@@ -283,9 +311,10 @@ def write_dataset(samples, path, seeds=None) -> None:
     samples = list(samples)
     if seeds is not None and len(seeds) != len(samples):
         raise DataError(f"{len(seeds)} seeds for {len(samples)} samples")
-    blob = dataset_bytes(samples)
+    chunks = dataset_chunks(samples)
     with replace_on_success(path) as f:
-        f.write(blob)
+        for chunk in chunks:
+            f.write(chunk)
         # nested, so a failed manifest write leaves the old dataset too
         if seeds is not None:
             with replace_on_success(f"{path}.manifest") as m:
@@ -293,36 +322,37 @@ def write_dataset(samples, path, seeds=None) -> None:
 
 
 def read_dataset(path) -> list:
-    """Parse a dataset file; malformed input raises with the byte offset."""
+    """Parse a dataset file; malformed input raises with the byte offset.
+    Each field is read straight into its own array."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < HEADER.size:
-        raise FormatError(f"header truncated: file is {len(blob)} bytes at offset 0, "
-                          f"need {HEADER.size}")
-    magic, version, count, h, w = HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4")
-    if h < 1 or w < 1:
-        raise FormatError(f"degenerate image size {h}x{w} at offset 12")
-    expected = HEADER.size + count * _sample_nbytes(h, w)
-    if len(blob) != expected:
-        raise FormatError(f"file is {len(blob)} bytes, expected {expected}; "
-                          f"data ends at offset {min(len(blob), expected)}")
+        size = os.fstat(f.fileno()).st_size
+        if size < HEADER.size:
+            raise FormatError(f"header truncated: file is {size} bytes at offset 0, "
+                              f"need {HEADER.size}")
+        magic, version, count, h, w = HEADER.unpack(f.read(HEADER.size))
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version} at offset 4")
+        if h < 1 or w < 1:
+            raise FormatError(f"degenerate image size {h}x{w} at offset 12")
+        expected = HEADER.size + count * _sample_nbytes(h, w)
+        if size != expected:
+            raise FormatError(f"file is {size} bytes, expected {expected}; "
+                              f"data ends at offset {min(size, expected)}")
 
-    samples = []
-    off = HEADER.size
-    for _ in range(count):
-        fields = {}
-        for name in TaskBundle.FIELDS:
-            shape = _field_shape(name, h, w)
-            dt = np.dtype(_SAMPLE_DTYPES[name])
-            n = int(np.prod(shape)) * dt.itemsize
-            fields[name] = np.frombuffer(blob, dt, count=int(np.prod(shape)),
-                                         offset=off).reshape(shape).copy()
-            off += n
-        samples.append(TaskBundle(**fields))
+        samples = []
+        off = HEADER.size
+        for _ in range(count):
+            fields = {}
+            for name in TaskBundle.FIELDS:
+                arr = np.empty(_field_shape(name, h, w), _SAMPLE_DTYPES[name])
+                if f.readinto(arr) != arr.nbytes:  # the file shrank while being read
+                    raise FormatError(f"file ends inside {name} at offset {off}, "
+                                      f"expected {expected} bytes")
+                fields[name] = arr
+                off += arr.nbytes
+            samples.append(TaskBundle(**fields))
     return samples
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass, fields
@@ -26,7 +27,7 @@ from .files import replace_on_success
 from .losses import combine_losses, per_task_loss, task_weights, update_ema
 from .model import Model, empty_params, forward, init_params
 from .optim import OptimState, ScheduleSpec, adamw_step, lr_schedule
-from .synthetic import dataset_bytes, read_dataset
+from .synthetic import dataset_chunks, read_dataset
 from .tensor import Tape, Tensor, central_difference, mul, zero_grad
 
 CKPT_MAGIC = b"MTCK"
@@ -88,7 +89,8 @@ def budget_hash(cfg: ArchConfig, options: RunOptions, samples) -> str:
               options.dtype, options.balance)
     h.update(repr(scale).encode())
     h.update(repr(budget).encode())
-    h.update(dataset_bytes(samples))
+    for chunk in dataset_chunks(samples):
+        h.update(chunk)
     return h.hexdigest()
 
 
@@ -203,6 +205,12 @@ def evaluate(model_or_ckpt, data) -> dict:
 
 # -------------------------------------------------------------- checkpoints
 
+def _raw(a) -> memoryview:
+    """``a``'s own bytes in C order, flat so len() counts bytes; copies
+    only an array that is not C-contiguous."""
+    return np.ascontiguousarray(a).data.cast("B")
+
+
 def save_checkpoint(path, model: Model, opt: OptimState | None,
                     step: int, budget: str = "") -> None:
     code = _DTYPE_CODES[model.dtype]
@@ -219,28 +227,37 @@ def save_checkpoint(path, model: Model, opt: OptimState | None,
             f.write(struct.pack("<H", len(nb)) + nb)
             f.write(struct.pack("<B", p.data.ndim))
             f.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            f.write(np.ascontiguousarray(p.data).tobytes())
+            f.write(_raw(p.data))
         if opt is None:
             f.write(struct.pack("<B", 0))
         else:
             f.write(struct.pack("<BdQ", 1, opt.weight_decay, opt.step))
-            for name in model.flat:
-                f.write(np.ascontiguousarray(
-                    opt.m.get(name, np.zeros_like(model.flat[name].data))).tobytes())
-                f.write(np.ascontiguousarray(
-                    opt.v.get(name, np.zeros_like(model.flat[name].data))).tobytes())
+            for name, p in model.flat.items():
+                for moments in (opt.m, opt.v):
+                    # a moment not made yet is stored as zeros
+                    f.write(_raw(moments[name]) if name in moments else bytes(p.data.nbytes))
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = memoryview(blob)  # slices are views, not copies
+    """Reads a checkpoint front to back.  Each field is checked against the
+    file size before it is read, and a tensor is read straight into its
+    array."""
+
+    def __init__(self, f):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
         self.off = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.off + n > len(self.blob):
+    def take(self, n: int, into=None):
+        """The next ``n`` bytes, read into ``into`` (an array of ``n``
+        bytes) or into a new bytearray; the size is checked first, so a
+        corrupt length allocates nothing."""
+        if self.off + n > self.size:
             raise FormatError(f"checkpoint truncated at offset {self.off}, "
                               f"needed {n} more bytes")
-        out = self.blob[self.off:self.off + n]
+        out = bytearray(n) if into is None else into
+        if self.f.readinto(out) != n:
+            raise FormatError(f"checkpoint shrank while being read, at offset {self.off}")
         self.off += n
         return out
 
@@ -248,7 +265,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def text(self, n: int) -> str:
-        raw = bytes(self.take(n))
+        raw = self.take(n)
         try:
             return raw.decode()
         except UnicodeDecodeError as exc:
@@ -258,49 +275,47 @@ class _Reader:
 def load_checkpoint(path):
     """Returns (model, optimizer state or None, step, budget hash)."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
-    if bytes(r.take(4)) != CKPT_MAGIC:
-        raise FormatError(f"bad checkpoint magic at offset 0 in {path}")
-    version, code, step = r.unpack("<IIQ")
-    if version != CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at offset 4")
-    if code not in _CODE_DTYPES:
-        raise FormatError(f"unknown dtype code {code} at offset 8")
-    dt = _CODE_DTYPES[code]
-    (cfg_len,) = r.unpack("<I")
-    cfg = cfgmod.from_text(r.text(cfg_len))
-    (budget_len,) = r.unpack("<I")
-    budget = r.text(budget_len)
-    (count,) = r.unpack("<I")
+        r = _Reader(f)
+        if r.take(4) != CKPT_MAGIC:
+            raise FormatError(f"bad checkpoint magic at offset 0 in {path}")
+        version, code, step = r.unpack("<IIQ")
+        if version != CKPT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version} at offset 4")
+        if code not in _CODE_DTYPES:
+            raise FormatError(f"unknown dtype code {code} at offset 8")
+        dt = _CODE_DTYPES[code]
+        (cfg_len,) = r.unpack("<I")
+        cfg = cfgmod.from_text(r.text(cfg_len))
+        (budget_len,) = r.unpack("<I")
+        budget = r.text(budget_len)
+        (count,) = r.unpack("<I")
 
-    model = empty_params(cfg, dtype=dt)  # every tensor is filled below
-    if count != len(model.flat):
-        raise FormatError(f"checkpoint stores {count} tensors, config builds "
-                          f"{len(model.flat)}")
-    itemsize = np.dtype(dt).itemsize
-    for expected_name, p in model.flat.items():
-        (nlen,) = r.unpack("<H")
-        name = r.text(nlen)
-        if name != expected_name:
-            raise FormatError(f"tensor order mismatch: file has {name!r} where "
-                              f"{expected_name!r} belongs")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        if shape != p.data.shape:
-            raise FormatError(f"{name} stored as {shape}, config wants {p.data.shape}")
-        p.data[...] = np.frombuffer(r.take(p.data.size * itemsize), dtype=dt).reshape(shape)
+        model = empty_params(cfg, dtype=dt)  # every tensor is filled below
+        if count != len(model.flat):
+            raise FormatError(f"checkpoint stores {count} tensors, config builds "
+                              f"{len(model.flat)}")
+        for expected_name, p in model.flat.items():
+            (nlen,) = r.unpack("<H")
+            name = r.text(nlen)
+            if name != expected_name:
+                raise FormatError(f"tensor order mismatch: file has {name!r} where "
+                                  f"{expected_name!r} belongs")
+            (ndim,) = r.unpack("<B")
+            shape = r.unpack(f"<{ndim}I")
+            if shape != p.data.shape:
+                raise FormatError(f"{name} stored as {shape}, config wants {p.data.shape}")
+            r.take(p.data.nbytes, p.data)
 
-    (has_opt,) = r.unpack("<B")
-    opt = None
-    if has_opt:
-        wd, ostep = r.unpack("<dQ")
-        opt = OptimState(weight_decay=wd, step=ostep)
-        for name, p in model.flat.items():
-            n = p.data.size * itemsize
-            opt.m[name] = np.frombuffer(r.take(n), dtype=dt).reshape(p.data.shape).copy()
-            opt.v[name] = np.frombuffer(r.take(n), dtype=dt).reshape(p.data.shape).copy()
-    if r.off != len(r.blob):
-        raise FormatError(f"{len(r.blob) - r.off} trailing bytes at offset {r.off}")
+        (has_opt,) = r.unpack("<B")
+        opt = None
+        if has_opt:
+            wd, ostep = r.unpack("<dQ")
+            opt = OptimState(weight_decay=wd, step=ostep)
+            for name, p in model.flat.items():
+                opt.m[name] = r.take(p.data.nbytes, np.empty_like(p.data))
+                opt.v[name] = r.take(p.data.nbytes, np.empty_like(p.data))
+        if r.off != r.size:
+            raise FormatError(f"{r.size - r.off} trailing bytes at offset {r.off}")
     return model, opt, step, budget
 
 

@@ -1,13 +1,17 @@
 """Scene generator consistency, the Sobel oracle, and file round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from mtformer import synthetic
 from mtformer.errors import DataError, FormatError
-from mtformer.synthetic import (ALBEDO, CLASS_NAMES, NUM_CLASSES, TaskBundle,
-                                generate_dataset, generate_sample,
-                                read_dataset, read_manifest, scene_light,
-                                sobel_edges, write_dataset)
+from mtformer.synthetic import (ALBEDO, CLASS_NAMES, HEADER, NUM_CLASSES,
+                                SPLAT_RADIUS, SPLAT_SIGMA, TaskBundle,
+                                dataset_chunks, generate_dataset,
+                                generate_sample, read_dataset, read_manifest,
+                                scene_light, sobel_edges, write_dataset)
 
 SIZE = 32
 
@@ -76,6 +80,58 @@ def test_same_seed_is_bitwise_identical():
         assert x.dtype == y.dtype and np.array_equal(x, y)
     c = generate_sample(124, SIZE)
     assert not np.array_equal(a.rgb, c.rgb)
+
+
+# sha256 of the one-sample dataset file `write_dataset` makes for each seed,
+# recorded when every splat and every solid still covered the whole grid
+SCENE_DIGESTS = {
+    (128, 0): "89f17e1ef46f15669f666927dd03eb85d0fa9c9fdc62dc24380e5dfdc11ba280",
+    (128, 1): "a543174cf0f6e19f71b4dd84b1986a21fffee15722af6b6c9e80b30b5de6f88b",
+    (128, 2): "281f84acd19dcc7c7d3878e99da37c35556d0b22dc22582f8a277a40ab7880a8",
+    (128, 3): "3544aaa57ac4d415d9e077ab80c75dc00ac6fece97d83b2f4169bbb8c3f73ec9",
+    (128, 4): "f4f8b7e3db4109a5e52fbf25eef8e1bf84e1ec895c86c403eab0413c35fdb9f2",
+    (128, 5): "326d358eff24390433ce841ce23f315fc6022e581b4cceb2bafbf8b601c946cd",
+    (128, 6): "f5905950733751ce62d524aabd57a4adc913566c47f015054df9799ed012411c",
+    (128, 7): "8e0004bac76e5d88e51cc51ea20ed5913ad6147df76727ea94c191031de2ef8e",
+    (128, 8): "28232f53e127046607ea4458c90f6d8a5659864f1080e61bfe008441b510738e",
+    (128, 9): "7af8e5456552097f2a41084d6654d3087332df0a3b1a160b50ad5c6f5becce7e",
+    (128, 10): "9bac5b4a54e6ecea61cb88570fd5b98c2f0cda1a16fdb7b48d4827764214847f",
+    (128, 11): "e2692a074e0796fdb80a9c6164981ddb70e7da118ce89c214a03a12c988b937c",
+    (128, 12): "35c04ef7b1e9dcf0186e064df25608712efe4a6a5fc718e1b4f0500d356bdfe9",
+    (128, 13): "77338c43354f91cd1c9e46ec4aaff6242b8816c0f1cc8c76f87368ea322bd66a",
+    (128, 14): "fa993fbcfefc3610e92abc3e3c5650dedaa18ceea362960d1baeb2fed937056a",
+    (128, 15): "cd50a4ecf608bc721403dca377ecfbd44c19eb86e28f5adcd432592d0e2523a3",
+    (32, 0): "cb923dc9d70627a3d61573c9cd1b1ba4f672b1b2a9a10fd78574ec0ecb155478",
+    (32, 1): "9caca72ef17344cd8f9225f96810aefb605b88bc049a1fc74f35dcba5ed246ef",
+    (32, 2): "87ade4106cdd8b260c8bb7c5d23f971be19402e94b16f5d1c25a534a257e8895",
+    (224, 0): "905304b3b02094d16571555a1d68286091aed22d310a1a002964251a18abf36a",
+    (224, 1): "44bbfe3f5ff9ddd8ebade3e3761599dfff8e66bdfa5134658180b3094b949aa4",
+}
+
+
+def test_scene_files_match_the_recorded_digests(tmp_path, monkeypatch):
+    corners = []
+    record = synthetic._corners
+
+    def recording(*args):
+        out = record(*args)
+        corners.extend(out)
+        return out
+
+    monkeypatch.setattr(synthetic, "_corners", recording)
+    path = tmp_path / "one.mtds"
+    for (size, seed), digest in SCENE_DIGESTS.items():
+        write_dataset([generate_sample(seed, size)], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (size, seed)
+    # the set covers splats whose centre lies off the image
+    assert any(not 0.0 <= c < 1.0 for corner in corners for c in corner)
+
+
+def test_splat_rounds_to_zero_in_float32_at_its_radius():
+    edge = np.exp(-SPLAT_RADIUS ** 2 / (2.0 * SPLAT_SIGMA ** 2))
+    assert edge > 0.0
+    stored = np.float32(edge)
+    assert stored == 0.0 and not np.signbit(stored)
 
 
 def test_target_ranges_and_dtypes():
@@ -229,6 +285,35 @@ def test_write_rejects_bad_inputs(tmp_path):
         write_dataset([generate_sample(0, 16)], tmp_path / "z.mtds", seeds=[1, 2])
     # rejected before anything reaches the disk
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dataset_chunks_are_the_file_bytes(tmp_path):
+    samples = generate_dataset(3, 16, base_seed=2)
+    path = tmp_path / "three.mtds"
+    write_dataset(samples, path)
+    # the stream as one joined copy, built field by field
+    joined = HEADER.pack(b"MTDS", 1, 3, 16, 16) + b"".join(
+        getattr(s, name).tobytes() for s in samples for name in TaskBundle.FIELDS)
+    assert path.read_bytes() == joined
+    chunks = list(dataset_chunks(samples))
+    assert len(chunks) == 1 + 3 * len(TaskBundle.FIELDS)
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    assert digest.digest() == hashlib.sha256(joined).digest()
+
+
+def test_bad_inputs_are_rejected_before_the_file_opens(tmp_path, monkeypatch):
+    def no_open(path):
+        raise AssertionError(f"opened {path} for inconsistent inputs")
+
+    monkeypatch.setattr(synthetic, "replace_on_success", no_open)
+    with pytest.raises(DataError):
+        write_dataset([], tmp_path / "x.mtds")
+    with pytest.raises(DataError):
+        write_dataset([generate_sample(0, 16), generate_sample(1, 24)], tmp_path / "y.mtds")
+    with pytest.raises(DataError):
+        write_dataset([generate_sample(0, 16)], tmp_path / "z.mtds", seeds=[1, 2])
 
 
 @pytest.mark.parametrize("fail_in", ["dataset", "manifest"])

@@ -1,12 +1,15 @@
 """Training loop, evaluation, checkpoint format, and model-level grad checks."""
 
 import json
+import struct
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from mtformer.config import ABLATION_AXES, ArchConfig
+from mtformer.optim import OptimState, adamw_step
 from mtformer.errors import (ConfigurationError, DataError, DimensionError,
                              FormatError, NumericsError)
 from mtformer.synthetic import generate_sample
@@ -280,6 +283,103 @@ def test_checkpoint_rejects_name_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+def _ckpt_with_optimizer(tmp_path):
+    """A checkpoint with optimizer state, its bytes, and where its fields
+    start: the config text, then per tensor its name and data, then the
+    moments, in file order."""
+    from mtformer.model import init_params
+    model = init_params(tiny_cfg(tasks=("S",)), seed=0)
+    opt = OptimState()
+    rng = np.random.default_rng(0)
+    adamw_step(model.flat, {n: rng.normal(0.0, 1e-3, p.data.shape)
+                            for n, p in model.flat.items()}, opt, 1e-4)
+    path = tmp_path / "opt.mtck"
+    save_checkpoint(path, model, opt, opt.step, "budget")
+    blob = path.read_bytes()
+
+    (cfg_len,) = struct.unpack_from("<I", blob, 20)
+    at = 24 + cfg_len
+    (budget_len,) = struct.unpack_from("<I", blob, at)
+    at += 4 + budget_len + 4
+    spans = {"config": (24, cfg_len), "names": [], "params": [], "moments": []}
+    for p in model.flat.values():
+        (nlen,) = struct.unpack_from("<H", blob, at)
+        spans["names"].append((at + 2, nlen))
+        at += 2 + nlen + 1 + 4 * p.data.ndim
+        spans["params"].append((at, p.data.nbytes))
+        at += p.data.nbytes
+    at += 1 + 16  # the optimizer flag, weight decay and step
+    for p in model.flat.values():
+        for _ in ("m", "v"):
+            spans["moments"].append((at, p.data.nbytes))
+            at += p.data.nbytes
+    assert at == len(blob)
+    return path, blob, spans
+
+
+def test_checkpoint_truncation_names_the_field_it_cuts(tmp_path):
+    path, blob, spans = _ckpt_with_optimizer(tmp_path)
+    cuts = [spans["config"], spans["names"][0], spans["names"][-1],
+            spans["params"][0], spans["params"][-1],
+            spans["moments"][0], spans["moments"][1], spans["moments"][-1]]
+    for start, n in cuts:
+        for cut in (start, start + n // 2, start + n - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError) as err:
+                load_checkpoint(path)
+            assert str(err.value) == (f"checkpoint truncated at offset {start}, "
+                                      f"needed {n} more bytes"), cut
+
+
+def test_checkpoint_counts_trailing_bytes(tmp_path):
+    path, blob, _ = _ckpt_with_optimizer(tmp_path)
+    path.write_bytes(blob + b"\x00\x01\x02")
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"3 trailing bytes at offset {len(blob)}"
+
+
+def test_checkpoint_names_the_offset_of_undecodable_text(tmp_path):
+    path, blob, spans = _ckpt_with_optimizer(tmp_path)
+    start, _ = spans["names"][1]
+    path.write_bytes(blob[:start + 3] + b"\xff" + blob[start + 4:])
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"undecodable text at offset {start + 3}"
+
+
+def test_missing_moments_are_saved_as_zeros(tmp_path):
+    path, _, _ = _ckpt_with_optimizer(tmp_path)
+    model, full, step, _ = load_checkpoint(path)
+    names = list(model.flat)
+    partial = OptimState(weight_decay=full.weight_decay, step=full.step,
+                         m={n: full.m[n] for n in names[::2]},
+                         v={n: full.v[n] for n in names[::3]})
+    zeroed = OptimState(weight_decay=full.weight_decay, step=full.step,
+                        m={n: partial.m.get(n, np.zeros_like(full.m[n])) for n in names},
+                        v={n: partial.v.get(n, np.zeros_like(full.v[n])) for n in names})
+    save_checkpoint(tmp_path / "partial.mtck", model, partial, step)
+    save_checkpoint(tmp_path / "zeroed.mtck", model, zeroed, step)
+    assert (tmp_path / "partial.mtck").read_bytes() == (tmp_path / "zeroed.mtck").read_bytes()
+    _, back, _, _ = load_checkpoint(tmp_path / "partial.mtck")
+    for n in names:
+        assert back.m[n].tobytes() == zeroed.m[n].tobytes(), n
+        assert back.v[n].tobytes() == zeroed.v[n].tobytes(), n
+
+
+def test_checkpoint_save_copies_no_tensor(tmp_path):
+    path, _, _ = _ckpt_with_optimizer(tmp_path)
+    model, opt, step, _ = load_checkpoint(path)
+    largest = max(p.data.nbytes for p in model.flat.values())
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, model, opt, step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < largest
+
+
 def test_train_rejects_empty_and_mismatched_data():
     cfg = tiny_cfg()
     with pytest.raises(DataError, match="empty"):
@@ -305,6 +405,12 @@ def test_non_finite_loss_aborts_with_step_number():
     sample.rgb[0, 0, 0] = np.nan
     with pytest.raises(NumericsError, match="step 0"):
         train(cfg, [sample], tiny_options(steps=2, batch_size=1))
+
+
+def test_budget_hash_is_unchanged_by_streaming_the_data():
+    # recorded when the hash covered one joined copy of the dataset bytes
+    assert budget_hash(tiny_cfg(), tiny_options(), tiny_data()) == (
+        "467e07f87c283397a31e9887be659bc6870da17874c4d0a6ab34017a61badca4")
 
 
 def test_budget_hash_ignores_ablation_axes_only():

@@ -11,7 +11,12 @@ computes, on the desk-nano preset with seed 0 and BLAS pinned to one thread:
   configs float64/float32 x shared/unshared attention, keeping the six task
   predictions and every parameter gradient;
 * a 3-step ``train`` run (float64, shared attention, batch 4, two scenes),
-  keeping the trained parameters and both AdamW moments.
+  keeping the trained parameters and both AdamW moments;
+* the ``generate_dataset`` bundles for seeds 0-3 at 32 and 128 px, every
+  field of every scene;
+* the bytes of the ``save_checkpoint`` file of that trained model with its
+  optimizer state, and every parameter and moment ``load_checkpoint``
+  returns from that file.
 
 It prints, per group, how many tensors are bitwise equal and the largest
 relative difference max|a - b| / max|a| over the group, then one line per
@@ -35,6 +40,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = [(dt, shared) for dt in ("float64", "float32") for shared in (True, False)]
 TRAIN_STEPS = 3
+SCENES, SCENE_SIZES = 4, (32, 128)
 
 
 def _worker(out_path: str) -> None:
@@ -76,6 +82,22 @@ def _worker(out_path: str) -> None:
         arrays[f"train parameters/{name}"] = p.data
         arrays[f"train first moments/{name}"] = result.optim.m[name]
         arrays[f"train second moments/{name}"] = result.optim.v[name]
+
+    for size in SCENE_SIZES:
+        for i, bundle in enumerate(generate_dataset(SCENES, size, base_seed=0)):
+            for field in bundle.FIELDS:
+                arrays[f"scenes/{size}px seed {i} {field}"] = getattr(bundle, field)
+
+    ckpt = f"{out_path}.mtck"
+    training.save_checkpoint(ckpt, result.model, result.optim, TRAIN_STEPS, result.budget_hash)
+    with open(ckpt, "rb") as f:
+        arrays["checkpoint file/bytes"] = np.frombuffer(f.read(), np.uint8)
+    loaded, opt, _, _ = training.load_checkpoint(ckpt)
+    os.remove(ckpt)
+    for name, p in loaded.flat.items():
+        arrays[f"checkpoint load/{name}"] = p.data
+        arrays[f"checkpoint load/{name} first moment"] = opt.m[name]
+        arrays[f"checkpoint load/{name} second moment"] = opt.v[name]
     np.savez(out_path, **arrays)
 
 
