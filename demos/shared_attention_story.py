@@ -66,7 +66,7 @@ for task in cfg.tasks:
     with Tape() as tape:
         tape.backward(per_task_loss(task, forward(model, img)[task],
                                     sample.target(task)))
-    per_stage = [reach([stage.shared.q.w]) for stage in model.decoder.stages]
+    per_stage = [reach([model.flat[f"decoder.s{i}.shared.q.weight"]]) for i in range(4)]
     print(f"loss of task {task} reaches the shared q: |grad| up to "
           f"{max(per_stage):.2e} (deep to shallow: "
           + " ".join(f"{g:.1e}" for g in per_stage) + ")")
@@ -77,8 +77,8 @@ solo = train(replace(cfg, shared_attention=False), data, options).model
 zero_grad(solo.flat.values())
 with Tape() as tape:
     tape.backward(per_task_loss("K", forward(solo, img)["K"], sample.target("K")))
-own = reach((s.block2.q.w for s in solo.decoder.stages), "K")
-other = reach((s.block2.q.w for s in solo.decoder.stages), "D")
+own_q = [solo.flat[f"decoder.s{i}.b2.q.weight"] for i in range(4)]
+own, other = reach(own_q, "K"), reach(own_q, "D")
 print(f"unshared: K's loss on its own q {own:.2e}, on D's q {other:.2e}")
 
 # 3. sharing removes per-task q/k/table weight, so more tasks save more

@@ -9,7 +9,7 @@ those pairs.
 
 import numpy as np
 
-from mtformer.layers import LinearP, attention_weights
+from mtformer.layers import attention_weights
 from mtformer.tensor import Tensor
 from mtformer.windowing import (WindowGrid, cyclic_shift, shift_mask,
                                 window_partition, window_reverse)
@@ -32,14 +32,14 @@ for w in range(mask.shape[0]):
             for a in range(4)]
     print(f"  window {w}: " + "  ".join(rows))
 
-# masked pairs get probability ~0 but rows still sum to one
+# masked pairs get probability ~0 but rows still sum to one.  Layers read
+# their parameters by name from one flat dict; "demo" is this block's prefix
 c, heads = 4, 2
-q = LinearP(Tensor(rng.normal(size=(c, c))), Tensor(np.zeros(c)))
-k = LinearP(Tensor(rng.normal(size=(c, c))), Tensor(np.zeros(c)))
-table = Tensor(rng.normal(size=(9, heads)))
+params = {"demo.q.weight": Tensor(rng.normal(size=(c, c))), "demo.q.bias": Tensor(np.zeros(c)),
+          "demo.k.weight": Tensor(rng.normal(size=(c, c))), "demo.k.bias": Tensor(np.zeros(c)),
+          "demo.bias_table": Tensor(rng.normal(size=(9, heads)))}
 rolled = cyclic_shift(Tensor(rng.normal(size=(4, 4, c))), grid.shift)
-probs = attention_weights(window_partition(rolled, grid.win), q, k, table,
-                          grid, shift=1).data
+probs = attention_weights(window_partition(rolled, grid.win), params, "demo", grid).data
 blocked = np.broadcast_to((mask != 0)[:, None], probs.shape)
 print(f"\nmax probability on a blocked pair: {probs[blocked].max():.2e}")
 print(f"row sums span {probs.sum(-1).min():.12f}..{probs.sum(-1).max():.12f}")

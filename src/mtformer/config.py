@@ -1,4 +1,4 @@
-"""Architecture configuration: presets, validation, parameter accounting.
+"""Architecture configuration: presets, validation, the parameter layout.
 
 A config fully determines the model: a four stage windowed encoder whose
 channel widths double per stage, mirrored per task decoders coupled by a
@@ -9,6 +9,7 @@ R reshading.  Patch size, window shift and class count are fixed, not set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -140,26 +141,98 @@ def preset(name: str) -> ArchConfig:
     raise ConfigurationError(f"unknown preset {name!r}, valid presets: {', '.join(PRESETS)}")
 
 
-# ------------------------------------------------------------ parameter count
+# ----------------------------------------------------------- parameter layout
 
-def linear_params(c_in: int, c_out: int, bias: bool = True) -> int:
-    return c_in * c_out + (c_out if bias else 0)
+NORMAL = "normal"  # init kind: clipped normal draw; any other init is a fill value
 
-
-def _norm_params(c: int) -> int:
-    return 2 * c
-
-
-def _table_params(window: int, heads: int) -> int:
-    return (2 * window - 1) ** 2 * heads
+# start of the normals head bias: a fixed, slightly tilted unit normal.
+# Unit normalization divides by the output norm, and the stacked small-std
+# head projections leave that norm near zero otherwise, making the early
+# gradients arbitrarily steep; the tilt keeps the start from tying exactly
+# with the upright background normal, an L1 subgradient degeneracy
+NORMALS_BIAS = (0.06, 0.08, 1.0)
 
 
-def _block_params(c: int, heads: int, window: int, ratio: int) -> int:
-    """One pre-norm attention block: 2 norms, q/k/v/out, bias table, 2 layer MLP."""
-    hidden = ratio * c
-    return (_norm_params(c) + 3 * linear_params(c, c) + linear_params(c, c)
-            + _table_params(window, heads) + _norm_params(c)
-            + linear_params(c, hidden) + linear_params(hidden, c))
+def _linear(name: str, c_in: int, c_out: int):
+    yield f"{name}.weight", (c_in, c_out), NORMAL
+    yield f"{name}.bias", (c_out,), 0.0
+
+
+def _norm(name: str, c: int):
+    yield f"{name}.gamma", (c,), 1.0
+    yield f"{name}.beta", (c,), 0.0
+
+
+def _block(name: str, c: int, heads: int, window: int, ratio: int, attn: str = ""):
+    """One pre-norm attention block: LN, q/k/v/out, bias table, LN, MLP.
+    ``attn`` renames the prefix of q, k and the table (the shared bundle)."""
+    attn = attn or name
+    yield from _norm(f"{name}.ln1", c)
+    yield from _linear(f"{attn}.q", c, c)
+    yield from _linear(f"{attn}.k", c, c)
+    yield from _linear(f"{name}.v", c, c)
+    yield from _linear(f"{name}.out", c, c)
+    yield f"{attn}.bias_table", ((2 * window - 1) ** 2, heads), NORMAL
+    yield from _norm(f"{name}.ln2", c)
+    yield from _linear(f"{name}.fc1", c, ratio * c)
+    yield from _linear(f"{name}.fc2", ratio * c, c)
+
+
+def _encoder(cfg: ArchConfig):
+    enc_ch = stage_channels(cfg)
+    yield from _linear("patch_embed", 3 * PATCH ** 2, cfg.base_channels)
+    for s, c in enumerate(enc_ch):
+        for d in range(cfg.stage_depths[s]):
+            yield from _block(f"encoder.s{s}.b{d}", c, cfg.encoder_heads[s], cfg.window, cfg.mlp_ratio)
+        if s < 3:  # patch merge, 4C -> 2C bias free
+            yield from _norm(f"encoder.merge{s}.ln", 4 * c)
+            yield f"encoder.merge{s}.weight", (4 * c, 2 * c), NORMAL
+
+
+def _decoder(cfg: ArchConfig):
+    """One task's decoder, the shared bundle declared inside ``b2``."""
+    dec_ch = decoder_channels(cfg)
+    yield from _linear("decoder.init", dec_ch[0], dec_ch[0])  # stream init from the deepest feature
+    for i, c in enumerate(dec_ch):
+        base = f"decoder.s{i}"
+        yield from _linear(f"{base}.fuse", c, c)  # additive skip fusion
+        yield from _block(f"{base}.b1", c, cfg.decoder_heads[i], cfg.window, cfg.decoder_mlp_ratio)
+        yield from _block(f"{base}.b2", c, cfg.decoder_heads[i], cfg.window, cfg.decoder_mlp_ratio,
+                          attn=f"{base}.shared" if cfg.shared_attention else "")
+        if i < 3:  # patch expand, bias free
+            yield f"decoder.expand{i}.weight", (c, 2 * c), NORMAL
+
+
+def _head(cfg: ArchConfig, task: str):
+    c, out = cfg.base_channels, task_channels(task)
+    yield f"head.{task}.expand1.weight", (c, 2 * c), NORMAL
+    yield f"head.{task}.expand2.weight", (c // 2, c), NORMAL
+    yield f"head.{task}.out.weight", (c // 4, out), NORMAL
+    yield f"head.{task}.out.bias", (out,), NORMALS_BIAS if task == "N" else 0.0
+
+
+def param_layout(cfg: ArchConfig):
+    """Every parameter as ``(name, shape, init, task index or None, stacked)``,
+    in the order its initial values are drawn.
+
+    The encoder comes first, then each task's decoder in ``cfg.tasks``
+    order, then the heads.  A stacked entry is slice ``task`` of a tensor
+    with a leading task axis, so its name appears once per task.  The
+    shared q/k/table bundle of a stage appears only in the reference
+    task's pass, unstacked and owned by that task.  Tensors are stored in
+    the order their names first appear.
+    """
+    require_valid(cfg)
+    for name, shape, init in _encoder(cfg):
+        yield name, shape, init, None, False
+    for k, t in enumerate(cfg.tasks):
+        for name, shape, init in _decoder(cfg):
+            shared = ".shared." in name
+            if not shared or t == cfg.reference_task:
+                yield name, shape, init, k, not shared
+    for k, t in enumerate(cfg.tasks):
+        for name, shape, init in _head(cfg, t):
+            yield name, shape, init, k, False
 
 
 @dataclass(frozen=True)
@@ -171,46 +244,24 @@ class ParamCount:
 
 
 def count_parameters(cfg: ArchConfig) -> ParamCount:
-    """Exact learnable scalar count implied by the architecture; no tensors built.
+    """Exact learnable scalar count of ``param_layout``; no tensors built.
 
     The breakdown components always sum to the total.  The shared q/k
     projections and their bias table are owned by the reference task's
     decoder, so with shared attention on every other task is strictly
     lighter than with it off.
     """
-    require_valid(cfg)
-    c = cfg.base_channels
-    enc_ch = stage_channels(cfg)
-
-    encoder = linear_params(3 * PATCH ** 2, c)
-    for s in range(4):
-        encoder += cfg.stage_depths[s] * _block_params(
-            enc_ch[s], cfg.encoder_heads[s], cfg.window, cfg.mlp_ratio)
-        if s < 3:
-            encoder += _norm_params(4 * enc_ch[s]) + linear_params(4 * enc_ch[s], 2 * enc_ch[s], bias=False)
-
-    dec_ch = decoder_channels(cfg)
-    decoders = {}
-    heads = {}
-    for t in cfg.tasks:
-        n = linear_params(dec_ch[0], dec_ch[0])  # per task stream init from the deepest feature
-        for i in range(4):
-            ci = dec_ch[i]
-            ratio = cfg.decoder_mlp_ratio
-            block = _block_params(ci, cfg.decoder_heads[i], cfg.window, ratio)
-            n += linear_params(ci, ci) + 2 * block  # additive skip fusion, two blocks
-            if cfg.shared_attention and t != cfg.reference_task:
-                # block 2 borrows the reference task's q/k and bias table
-                n -= 2 * linear_params(ci, ci) + _table_params(cfg.window, cfg.decoder_heads[i])
-            if i < 3:
-                n += linear_params(ci, 2 * ci, bias=False)  # patch expand
-        decoders[t] = n
-        heads[t] = (linear_params(c, 2 * c, bias=False)
-                    + linear_params(c // 2, c, bias=False)
-                    + linear_params(c // 4, task_channels(t)))
-
-    total = encoder + sum(decoders.values()) + sum(heads.values())
-    return ParamCount(encoder=encoder, decoder=decoders, heads=heads, total=total)
+    encoder = 0
+    decoder = dict.fromkeys(cfg.tasks, 0)
+    heads = dict.fromkeys(cfg.tasks, 0)
+    for name, shape, _, k, _ in param_layout(cfg):
+        n = math.prod(shape)
+        if k is None:
+            encoder += n
+        else:
+            (heads if name.startswith("head.") else decoder)[cfg.tasks[k]] += n
+    total = encoder + sum(decoder.values()) + sum(heads.values())
+    return ParamCount(encoder=encoder, decoder=decoder, heads=heads, total=total)
 
 
 # ------------------------------------------------------------- serialization

@@ -12,22 +12,9 @@ from dataclasses import dataclass
 
 from .config import PATCH, ArchConfig, stage_grids, window_shift
 from .errors import DimensionError
-from .layers import LinearP, NormP, attention_block, linear, norm
+from .layers import attention_block, linear, norm
 from .tensor import Tensor, matmul, reshape, transpose
 from .windowing import WindowGrid
-
-
-@dataclass
-class MergeP:
-    norm: NormP
-    w: Tensor  # bias free, 4C -> 2C
-
-
-@dataclass
-class EncoderParams:
-    embed: LinearP
-    stages: list  # stages[s] is a list of BlockP
-    merges: list  # three MergeP
 
 
 @dataclass(frozen=True)
@@ -41,11 +28,11 @@ class FeaturePyramid:
         return iter(self.features)
 
 
-def patch_embed(img: Tensor, p: LinearP, patch: int) -> Tensor:
+def patch_embed(img: Tensor, p: dict, name: str, patch: int) -> Tensor:
     """[H, W, 3] image to [H*W/patch^2, C] tokens.
 
     Each non-overlapping patch is flattened row major, channels last, then
-    linearly projected; token order is row major over the patch grid.
+    projected by ``name``; token order is row major over the patch grid.
     """
     if img.data.ndim != 3 or img.shape[-1] != 3:
         raise DimensionError(f"patch_embed expects [H, W, 3], got {img.shape}")
@@ -55,12 +42,13 @@ def patch_embed(img: Tensor, p: LinearP, patch: int) -> Tensor:
     t = reshape(img, (h // patch, patch, w // patch, patch, 3))
     t = transpose(t, (0, 2, 1, 3, 4))
     t = reshape(t, ((h // patch) * (w // patch), patch * patch * 3))
-    return linear(t, p)
+    return linear(t, p, name)
 
 
-def patch_merge(x: Tensor, side: int, p: MergeP) -> Tensor:
+def patch_merge(x: Tensor, side: int, p: dict, name: str) -> Tensor:
     """Concatenate each 2x2 neighborhood (order (0,0),(0,1),(1,0),(1,1)) to 4C,
-    layer-norm, and project bias free to 2C.  Token count drops 4x."""
+    layer-norm (``name.ln``), and project bias free (``name.weight``) to 2C.
+    Token count drops 4x."""
     n, c = x.shape
     if n != side * side:
         raise DimensionError(f"{n} tokens do not fill grid {side}x{side}")
@@ -69,7 +57,7 @@ def patch_merge(x: Tensor, side: int, p: MergeP) -> Tensor:
     t = reshape(x, (side // 2, 2, side // 2, 2, c))
     t = transpose(t, (0, 2, 1, 3, 4))
     t = reshape(t, ((side // 2) ** 2, 4 * c))
-    return matmul(norm(t, p.norm), p.w)
+    return matmul(norm(t, p, f"{name}.ln"), p[f"{name}.weight"])
 
 
 def block_shift_flags(depth: int) -> list:
@@ -77,19 +65,21 @@ def block_shift_flags(depth: int) -> list:
     return [d % 2 == 1 for d in range(depth)]
 
 
-def encode(img: Tensor, cfg: ArchConfig, params: EncoderParams) -> FeaturePyramid:
+def encode(img: Tensor, cfg: ArchConfig, p: dict) -> FeaturePyramid:
+    """Run the encoder on ``patch_embed.*`` and ``encoder.*`` of the flat
+    parameters ``p``."""
     if img.shape[:2] != (cfg.img_size, cfg.img_size):
         raise DimensionError(
             f"image {img.shape[:2]} does not match configured size {cfg.img_size}")
-    x = patch_embed(img, params.embed, PATCH)
+    x = patch_embed(img, p, "patch_embed", PATCH)
     sides = stage_grids(cfg)
     feats = []
-    for s in range(4):
-        grid = WindowGrid(sides[s], sides[s], cfg.window, window_shift(cfg))
-        flags = block_shift_flags(cfg.stage_depths[s])
-        for block, shifted in zip(params.stages[s], flags):
-            x = attention_block(x, block, grid, shifted)
+    for s, side in enumerate(sides):
+        regular = WindowGrid(side, side, cfg.window)
+        shifted = WindowGrid(side, side, cfg.window, window_shift(cfg))
+        for d, shift in enumerate(block_shift_flags(cfg.stage_depths[s])):
+            x = attention_block(x, p, f"encoder.s{s}.b{d}", shifted if shift else regular)
         feats.append(x)
         if s < 3:
-            x = patch_merge(x, sides[s], params.merges[s])
+            x = patch_merge(x, side, p, f"encoder.merge{s}")
     return FeaturePyramid(tuple(feats), sides)

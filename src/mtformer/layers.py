@@ -1,20 +1,23 @@
-"""Parameter bundles and the windowed attention building blocks.
+"""The windowed attention building blocks, reading parameters by name.
 
-Blocks run on flat token sequences [..., N, C]; the window geometry reshapes
-to [..., H, W, C] internally.  Leading axes carry independent streams (the
-decoders' task axis); a parameter either has no leading axes and is shared
-by every stream, or carries the same leading axes and holds one slice per
-stream: weights [..., C, C'], vectors [..., 1, C].  There is one block
-type, ``BlockP``, and one block function, ``attention_block``.  Attention
-weights and their application are separate steps so that a block can take
-its probability map from outside: the decoders' shared attention computes
-one map from the reference projections and hands it to every task's block.
+Every layer takes the model's flat name -> Tensor dict and a name prefix:
+``linear(x, p, "encoder.s0.b0.q")`` reads ``encoder.s0.b0.q.weight`` and
+``.bias``.  ``config.param_layout`` declares every name.  Blocks run on flat
+token sequences [..., N, C]; the window geometry reshapes to [..., H, W, C]
+internally.  Leading axes carry independent streams (the decoders' task
+axis); a parameter either has no leading axes and is shared by every
+stream, or carries the same leading axes and holds one slice per stream:
+weights [..., C, C'], vectors [..., 1, C].  There is one block function,
+``attention_block``; its grid's shift decides regular or shifted windows.
+Attention weights and their application are separate steps so that a
+block can take its probability map from outside: the decoders' shared
+attention computes one map from the reference projections and hands it to
+every task's block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DimensionError
 from .tensor import (Tensor, add, gelu, matmul, mul, reshape, softmax_lastdim,
@@ -27,64 +30,34 @@ from .windowing import (WindowGrid, cyclic_shift, cyclic_unshift, rel_pos_bias,
 NORM_EPS = 1e-5
 
 
-@dataclass
-class LinearP:
-    w: Tensor
-    b: Tensor | None = None
+def linear(x: Tensor, p: dict, name: str) -> Tensor:
+    return _linear(x, p[f"{name}.weight"], p[f"{name}.bias"])
 
 
-@dataclass
-class NormP:
-    gamma: Tensor
-    beta: Tensor
+def norm(x: Tensor, p: dict, name: str) -> Tensor:
+    return _layer_norm(x, p[f"{name}.gamma"], p[f"{name}.beta"], NORM_EPS)
 
 
-@dataclass
-class BlockP:
-    """Pre-norm attention block: LN, windowed MHA, LN, two layer MLP.
-
-    ``q``, ``k`` and ``table`` are None in a block whose attention map is
-    always supplied from outside (a shared-attention block)."""
-
-    ln1: NormP
-    q: LinearP | None
-    k: LinearP | None
-    v: LinearP
-    out: LinearP
-    table: Tensor | None  # relative position bias table [..., (2*win-1)^2, heads]
-    ln2: NormP
-    fc1: LinearP
-    fc2: LinearP
+def mlp(x: Tensor, p: dict, name: str) -> Tensor:
+    return linear(gelu(linear(x, p, f"{name}.fc1")), p, f"{name}.fc2")
 
 
-def linear(x: Tensor, p: LinearP) -> Tensor:
-    return _linear(x, p.w, p.b)
-
-
-def norm(x: Tensor, p: NormP) -> Tensor:
-    return _layer_norm(x, p.gamma, p.beta, NORM_EPS)
-
-
-def mlp(x: Tensor, fc1: LinearP, fc2: LinearP) -> Tensor:
-    return linear(gelu(linear(x, fc1)), fc2)
-
-
-def shifted_windows(x: Tensor, grid: WindowGrid, shift: int) -> Tensor:
-    """Tokens [..., N, C] of the grid, cyclically shifted by ``shift`` and cut
-    into windows [..., nW, T, C]."""
+def shifted_windows(x: Tensor, grid: WindowGrid) -> Tensor:
+    """Tokens [..., N, C] of the grid, cyclically shifted by ``grid.shift``
+    and cut into windows [..., nW, T, C]."""
     *lead, n, c = x.shape
     if n != grid.h * grid.w:
         raise DimensionError(f"{n} tokens do not fill grid {grid.h}x{grid.w}")
     x2d = reshape(x, tuple(lead) + (grid.h, grid.w, c))
-    if shift:
-        x2d = cyclic_shift(x2d, shift)
+    if grid.shift:
+        x2d = cyclic_shift(x2d, grid.shift)
     return window_partition(x2d, grid.win)
 
 
-def _project(wins: Tensor, p: LinearP) -> Tensor:
+def _project(wins: Tensor, p: dict, name: str) -> Tensor:
     """Per-token projection of windows [..., nW, T, C], one matrix product
     over all windows' tokens at once; returns [..., nW*T, C']."""
-    return linear(reshape(wins, wins.shape[:-3] + (-1, wins.shape[-1])), p)
+    return linear(reshape(wins, wins.shape[:-3] + (-1, wins.shape[-1])), p, name)
 
 
 def _split_heads(x: Tensor, nw: int, heads: int) -> Tensor:
@@ -101,59 +74,62 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(swapaxes(x, -3, -2), tuple(lead) + (nw * t, m * hd))
 
 
-def attention_weights(wins: Tensor, q: LinearP, k: LinearP, table: Tensor,
-                      grid: WindowGrid, shift: int) -> Tensor:
+def attention_weights(wins: Tensor, p: dict, name: str, grid: WindowGrid) -> Tensor:
     """Per-window attention probabilities [..., nW, heads, T, T] from the
-    windows [..., nW, T, C] of one source map.
+    windows [..., nW, T, C] of one source map, through ``name``'s q, k and
+    bias_table.
 
     logits = q k^T / sqrt(head_dim) + relative position bias, plus the wrap
-    mask when the map was cyclically shifted by ``shift``.  Rows sum to one.
+    mask when the map was cyclically shifted by ``grid.shift``.  Rows sum
+    to one.
     """
+    table = p[f"{name}.bias_table"]
     heads = table.shape[-1]
     nw = wins.shape[-3]
-    qh = _split_heads(_project(wins, q), nw, heads)
-    kh = _split_heads(_project(wins, k), nw, heads)
+    qh = _split_heads(_project(wins, p, f"{name}.q"), nw, heads)
+    kh = _split_heads(_project(wins, p, f"{name}.k"), nw, heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
     logits = mul(matmul(qh, swapaxes(kh, -2, -1)), scale)
     bias = rel_pos_bias(table, grid.win)
     # one bias per head, shared by every window: [..., 1, heads, T, T]
     logits = add(logits, reshape(bias, bias.shape[:-3] + (1,) + bias.shape[-3:]))
-    if shift:
+    if grid.shift:
         mask = shift_mask(grid, logits.dtype)
         logits = add(logits, reshape(mask, (mask.shape[0], 1, grid.tokens_per_window,
                                             grid.tokens_per_window)))
     return softmax_lastdim(logits)
 
 
-def apply_attention(weights: Tensor, wins: Tensor, v: LinearP, out: LinearP,
-                    grid: WindowGrid, shift: int) -> Tensor:
+def apply_attention(weights: Tensor, wins: Tensor, p: dict, name: str,
+                    grid: WindowGrid) -> Tensor:
     """Apply precomputed window attention to the values of windows
-    [..., nW, T, C]; undoes the windowing and the shift and returns tokens
-    [..., N, C] in map order.  ``weights`` broadcast over leading axes, so
-    one map can serve a whole stack of value streams."""
+    [..., nW, T, C] through ``name``'s v and out projections; undoes the
+    windowing and the shift and returns tokens [..., N, C] in map order.
+    ``weights`` broadcast over leading axes, so one map can serve a whole
+    stack of value streams."""
     heads = weights.shape[-3]
     *lead, nw, t, c = wins.shape
-    vh = _split_heads(_project(wins, v), nw, heads)
-    ctx = linear(_merge_heads(matmul(weights, vh)), out)
+    vh = _split_heads(_project(wins, p, f"{name}.v"), nw, heads)
+    ctx = linear(_merge_heads(matmul(weights, vh)), p, f"{name}.out")
     y = window_reverse(reshape(ctx, tuple(lead) + (nw, t, c)), grid.h, grid.w)
-    if shift:
-        y = cyclic_unshift(y, shift)
+    if grid.shift:
+        y = cyclic_unshift(y, grid.shift)
     return reshape(y, tuple(lead) + (grid.h * grid.w, c))
 
 
-def attention_block(x: Tensor, p: BlockP, grid: WindowGrid, shifted: bool,
+def attention_block(x: Tensor, p: dict, name: str, grid: WindowGrid,
                     weights: Tensor | None = None) -> Tensor:
-    """y = x + WMSA(LN(x)); y = y + MLP(LN(y)).  Shifted blocks roll and mask.
+    """y = x + WMSA(LN(x)); y = y + MLP(LN(y)).  On a grid with a shift the
+    block rolls and masks.
 
     The normalized map is shifted and windowed once; the attention weights
     and their application share those windows.  ``weights`` [..., nW, heads,
     T, T], computed on the same window layout, replace the block's own q/k
-    map.
+    map, and the block then reads no q, k or bias_table.
     """
-    shift = grid.shift if shifted else 0
-    wins = shifted_windows(norm(x, p.ln1), grid, shift)
+    wins = shifted_windows(norm(x, p, f"{name}.ln1"), grid)
     if weights is None:
-        weights = attention_weights(wins, p.q, p.k, p.table, grid, shift)
-    x = add(x, apply_attention(weights, wins, p.v, p.out, grid, shift))
+        weights = attention_weights(wins, p, name, grid)
+    x = add(x, apply_attention(weights, wins, p, name, grid))
     del wins, weights  # untaped, this frees them before the MLP's wide hidden layer
-    return add(x, mlp(norm(x, p.ln2), p.fc1, p.fc2))
+    return add(x, mlp(norm(x, p, f"{name}.ln2"), p, name))

@@ -15,7 +15,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -84,11 +84,8 @@ def budget_hash(cfg: ArchConfig, options: RunOptions, samples) -> str:
     h = hashlib.sha256()
     scale = tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg)
                   if f.name not in cfgmod.ABLATION_AXES)
-    budget = (options.steps, options.batch_size, options.seed, options.peak_lr,
-              options.warmup_steps, options.floor_lr, options.weight_decay,
-              options.dtype, options.balance)
     h.update(repr(scale).encode())
-    h.update(repr(budget).encode())
+    h.update(repr(astuple(options)).encode())
     for chunk in dataset_chunks(samples):
         h.update(chunk)
     return h.hexdigest()
@@ -184,12 +181,8 @@ def train(cfg: ArchConfig, data, options: RunOptions,
     return TrainResult(model, opt, metrics, chash, bhash, wall)
 
 
-def evaluate(model_or_ckpt, data) -> dict:
+def evaluate(model: Model, data) -> dict:
     """Per-task mean losses over a split, tape-free and deterministic."""
-    if isinstance(model_or_ckpt, Model):
-        model = model_or_ckpt
-    else:
-        model, _, _, _ = load_checkpoint(model_or_ckpt)
     samples = _load_samples(data)
     if not samples:
         raise DataError("evaluation split is empty")

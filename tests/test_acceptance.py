@@ -19,7 +19,7 @@ import numpy as np
 
 from mtformer.ablation import ablate, shared_comparison
 from mtformer.config import TASKS, ArchConfig, count_parameters, preset
-from mtformer.layers import LinearP, attention_weights
+from mtformer.layers import attention_weights
 from mtformer.losses import per_task_loss
 from mtformer.model import forward, init_params
 from mtformer.optim import ScheduleSpec, lr_schedule
@@ -93,11 +93,11 @@ def test_criterion_2_window_geometry_invariants():
     assert np.all(mask[~allowed] <= -1e8)
 
     c, heads = 4, 2
-    q = LinearP(Tensor(rng.normal(size=(c, c))), Tensor(rng.normal(size=c)))
-    k = LinearP(Tensor(rng.normal(size=(c, c))), Tensor(rng.normal(size=c)))
-    table = Tensor(rng.normal(size=(9, heads)))
+    p = {name: Tensor(rng.normal(size=shape)) for name, shape in (
+        ("a.q.weight", (c, c)), ("a.q.bias", c), ("a.k.weight", (c, c)), ("a.k.bias", c),
+        ("a.bias_table", (9, heads)))}
     wins = window_partition(cyclic_shift(Tensor(rng.normal(size=(4, 4, c))), 1), grid.win)
-    probs = attention_weights(wins, q, k, table, grid, shift=1).data
+    probs = attention_weights(wins, p, "a", grid).data
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-9)
     masked_pairs = np.broadcast_to(~allowed[:, None], probs.shape)
     assert probs[masked_pairs].max() <= 1e-6
@@ -183,10 +183,9 @@ def test_criterion_3_shared_attention_semantics():
         zero_grad(model.flat.values())
         with Tape() as tape:
             tape.backward(per_task_loss(t, forward(model, img)[t], sample.target(t)))
-        for i, stage in enumerate(model.decoder.stages):
-            shared = stage.shared
-            for label, param in (("q", shared.q.w), ("k", shared.k.w),
-                                 ("table", shared.table)):
+        for i in range(4):
+            for label in ("q.weight", "k.weight", "bias_table"):
+                param = model.flat[f"decoder.s{i}.shared.{label}"]
                 assert param.grad is not None and np.abs(param.grad).max() > 0, \
                     f"stage {i} shared {label} got no gradient from task {t}"
     zero_grad(model.flat.values())

@@ -1,13 +1,14 @@
 """Config tests: presets, validation, parameter accounting, serialization."""
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from mtformer.config import (TASKS, ArchConfig, count_parameters, from_text,
-                             linear_params, load, preset, require_valid,
-                             resolve, save, stage_channels, stage_grids,
-                             task_channels, to_text, validate, window_shift)
+                             load, preset, require_valid, resolve, save,
+                             stage_channels, stage_grids, task_channels,
+                             to_text, validate, window_shift)
 from mtformer.errors import ConfigurationError
 from mtformer.synthetic import NUM_CLASSES
 
@@ -74,11 +75,6 @@ def test_task_channels():
 
 
 # ------------------------------------------------------------ parameter count
-
-def test_linear_param_rule():
-    assert linear_params(4, 2) == 10  # 4*2 weights + 2 biases
-    assert linear_params(4, 2, bias=False) == 8
-
 
 def test_breakdown_sums_to_total():
     for name in ("desk-nano", "mult-tiny"):
@@ -158,6 +154,18 @@ def test_mult_large_lands_near_published_total():
     total = count_parameters(preset("mult-large")).total
     assert total == 535621209  # frozen from the same closed form at C=192
     assert abs(total - 545_000_000) / 545_000_000 <= 0.20
+
+
+def test_mult_large_counts_without_allocating():
+    # 535,621,209 float64 parameters would take 4 GiB; counting reads the layout only
+    tracemalloc.start()
+    try:
+        total = count_parameters(preset("mult-large")).total
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 535621209
+    assert peak < 2**20, peak
 
 
 # ------------------------------------------------------------- serialization

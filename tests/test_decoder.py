@@ -8,11 +8,9 @@ import pytest
 from scipy.special import erf
 
 from mtformer import config
-from mtformer.decoder import (SharedP, decode, patch_expand, shared_attention,
-                              task_head)
+from mtformer.decoder import decode, patch_expand, shared_attention, task_head
 from mtformer.encoder import encode
 from mtformer.errors import DimensionError
-from mtformer.layers import BlockP, LinearP, NormP
 from mtformer.model import forward, init_params
 from mtformer.synthetic import NUM_CLASSES
 from mtformer.tensor import Tape, Tensor, grad_check, mean, mul, take_rows
@@ -21,9 +19,11 @@ from mtformer.windowing import WindowGrid
 RNG = np.random.default_rng(77)
 
 
-def _linear(c_in, c_out, rng, scale=1.0):
-    return LinearP(Tensor(scale * rng.standard_normal((c_in, c_out)), requires_grad=True),
-                   Tensor(0.1 * rng.standard_normal(c_out), requires_grad=True))
+def _linear(name, c_in, c_out, rng, scale=1.0):
+    """Flat parameters of one projection ``name``."""
+    return {f"{name}.weight": Tensor(scale * rng.standard_normal((c_in, c_out)),
+                                     requires_grad=True),
+            f"{name}.bias": Tensor(0.1 * rng.standard_normal(c_out), requires_grad=True)}
 
 
 def _small_cfg(**over):
@@ -91,29 +91,31 @@ def test_patch_expand_gradients():
 
 # ------------------------------------------------------- shared attention op
 
-def _stacked_linear(k, c_in, c_out, rng, scale=1.0):
+def _stacked_linear(name, k, c_in, c_out, rng):
     """One [c_in, c_out] projection per stream: weights [K, c_in, c_out],
     biases [K, 1, c_out]."""
-    return LinearP(Tensor(scale * rng.standard_normal((k, c_in, c_out)), requires_grad=True),
-                   Tensor(0.1 * rng.standard_normal((k, 1, c_out)), requires_grad=True))
+    return {f"{name}.weight": Tensor(rng.standard_normal((k, c_in, c_out)), requires_grad=True),
+            f"{name}.bias": Tensor(0.1 * rng.standard_normal((k, 1, c_out)), requires_grad=True)}
 
 
-def _stacked_norm(k, c, rng):
-    return NormP(Tensor(rng.uniform(0.5, 1.5, (k, 1, c)), requires_grad=True),
-                 Tensor(0.1 * rng.standard_normal((k, 1, c)), requires_grad=True))
+def _stacked_norm(name, k, c, rng):
+    return {f"{name}.gamma": Tensor(rng.uniform(0.5, 1.5, (k, 1, c)), requires_grad=True),
+            f"{name}.beta": Tensor(0.1 * rng.standard_normal((k, 1, c)), requires_grad=True)}
 
 
 def _block2(k, c, rng):
-    """A shared-attention block: no q/k or bias table of its own."""
-    return BlockP(ln1=_stacked_norm(k, c, rng), q=None, k=None, v=_stacked_linear(k, c, c, rng),
-                  out=_stacked_linear(k, c, c, rng), table=None, ln2=_stacked_norm(k, c, rng),
-                  fc1=_stacked_linear(k, c, 2 * c, rng), fc2=_stacked_linear(k, 2 * c, c, rng))
+    """Stage ``st``'s shared-attention block: no q/k or bias table of its own."""
+    return {**_stacked_norm("st.b2.ln1", k, c, rng), **_stacked_linear("st.b2.v", k, c, c, rng),
+            **_stacked_linear("st.b2.out", k, c, c, rng), **_stacked_norm("st.b2.ln2", k, c, rng),
+            **_stacked_linear("st.b2.fc1", k, c, 2 * c, rng),
+            **_stacked_linear("st.b2.fc2", k, 2 * c, c, rng)}
 
 
 def _shared_p(c, heads, win, rng, scale=1.0):
-    return SharedP(q=_linear(c, c, rng, scale), k=_linear(c, c, rng, scale),
-                   table=Tensor(0.3 * rng.standard_normal(((2 * win - 1) ** 2, heads)),
-                                requires_grad=True))
+    """Stage ``st``'s shared q/k projections and bias table."""
+    return {**_linear("st.shared.q", c, c, rng, scale), **_linear("st.shared.k", c, c, rng, scale),
+            "st.shared.bias_table": Tensor(0.3 * rng.standard_normal(((2 * win - 1) ** 2, heads)),
+                                           requires_grad=True)}
 
 
 def _rel_bias_oracle(table, win):
@@ -127,34 +129,35 @@ def _rel_bias_oracle(table, win):
     return bias
 
 
-def _lin(x, p, k=None):
-    w, b = (p.w.data, p.b.data) if k is None else (p.w.data[k], p.b.data[k])
-    return x @ w + b
+def _lin(x, p, name, k=None):
+    w, b = p[f"{name}.weight"].data, p[f"{name}.bias"].data
+    return x @ w + b if k is None else x @ w[k] + b[k]
 
 
-def _ln(x, p, k):
+def _ln(x, p, name, k):
     mu = x.mean(-1, keepdims=True)
     var = ((x - mu) ** 2).mean(-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-5) * p.gamma.data[k] + p.beta.data[k]
+    return (x - mu) / np.sqrt(var + 1e-5) * p[f"{name}.gamma"].data[k] + p[f"{name}.beta"].data[k]
 
 
-def _mlp(x, blk, k):
-    h = _lin(x, blk.fc1, k)
-    return _lin(h * 0.5 * (1.0 + erf(h / math.sqrt(2.0))), blk.fc2, k)
+def _mlp(x, p, k):
+    h = _lin(x, p, "st.b2.fc1", k)
+    return _lin(h * 0.5 * (1.0 + erf(h / math.sqrt(2.0))), p, "st.b2.fc2", k)
 
 
-def _shared_oracle(x_sa, xs, shared, blk, att=None, win=None):
+def _shared_oracle(x_sa, xs, p, att=None, win=None):
     """Single-window numpy recomputation, one head: A from the skip, then
     per stream y = x + Out(A V(LN x)), y + MLP(LN y)."""
     if att is None:
-        q, k = _lin(x_sa, shared.q), _lin(x_sa, shared.k)
-        logits = q @ k.T / math.sqrt(q.shape[-1]) + _rel_bias_oracle(shared.table.data, win)[0]
+        q, k = _lin(x_sa, p, "st.shared.q"), _lin(x_sa, p, "st.shared.k")
+        table = p["st.shared.bias_table"].data
+        logits = q @ k.T / math.sqrt(q.shape[-1]) + _rel_bias_oracle(table, win)[0]
         e = np.exp(logits - logits.max(-1, keepdims=True))
         att = e / e.sum(-1, keepdims=True)
     out = []
     for s, x in enumerate(xs):
-        y = x + _lin(att @ _lin(_ln(x, blk.ln1, s), blk.v, s), blk.out, s)
-        out.append(y + _mlp(_ln(y, blk.ln2, s), blk, s))
+        y = x + _lin(att @ _lin(_ln(x, p, "st.b2.ln1", s), p, "st.b2.v", s), p, "st.b2.out", s)
+        out.append(y + _mlp(_ln(y, p, "st.b2.ln2", s), p, s))
     return np.stack(out)
 
 
@@ -163,12 +166,12 @@ def test_shared_attention_matches_hand_computation():
     # oracle is a direct softmax(q k^T / sqrt(2) + bias), reused by both streams
     c = 2
     grid = WindowGrid(2, 2, 2, 0)
-    shared, blk = _shared_p(c, 1, 2, RNG), _block2(2, c, RNG)
+    p = {**_shared_p(c, 1, 2, RNG), **_block2(2, c, RNG)}
     x_sa = RNG.uniform(-1, 1, (4, c))
     xs = RNG.uniform(-1, 1, (2, 4, c))
 
-    got = shared_attention(Tensor(xs), Tensor(x_sa), shared, blk, grid)
-    want = _shared_oracle(x_sa, xs, shared, blk, win=2)
+    got = shared_attention(Tensor(xs), Tensor(x_sa), p, "st", grid)
+    want = _shared_oracle(x_sa, xs, p, win=2)
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
@@ -178,11 +181,11 @@ def test_shared_attention_single_token_windows():
     # the bias table
     c = 3
     grid = WindowGrid(2, 2, 1, 0)
-    shared, blk = _shared_p(c, 1, 1, RNG), _block2(1, c, RNG)
+    p = {**_shared_p(c, 1, 1, RNG), **_block2(1, c, RNG)}
     x_sa = RNG.uniform(-1, 1, (4, c))
     x = RNG.uniform(-1, 1, (1, 4, c))
-    got = shared_attention(Tensor(x), Tensor(x_sa), shared, blk, grid)
-    want = _shared_oracle(None, x, None, blk, att=np.eye(4))
+    got = shared_attention(Tensor(x), Tensor(x_sa), p, "st", grid)
+    want = _shared_oracle(None, x, p, att=np.eye(4))
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
@@ -190,12 +193,11 @@ def test_shared_attention_identical_tasks_stay_identical():
     c = 4
     grid = WindowGrid(4, 4, 2, 0)
     shared, blk = _shared_p(c, 2, 2, RNG), _block2(2, c, RNG)
-    for bundle in filter(None, vars(blk).values()):  # stream 1 gets stream 0's parameters
-        for t in vars(bundle).values():
-            t.data[1] = t.data[0]
+    for t in blk.values():  # stream 1 gets stream 0's parameters
+        t.data[1] = t.data[0]
     x_sa = RNG.uniform(-1, 1, (16, c))
     x = RNG.uniform(-1, 1, (16, c))
-    got = shared_attention(Tensor(np.stack([x, x])), Tensor(x_sa), shared, blk, grid)
+    got = shared_attention(Tensor(np.stack([x, x])), Tensor(x_sa), {**shared, **blk}, "st", grid)
     assert np.max(np.abs(got.data[0] - got.data[1])) <= 1e-12
 
 
@@ -209,13 +211,15 @@ def test_shared_attention_gradients_flow_to_reference_projections():
         x_sa = Tensor(RNG.uniform(-1, 1, (16, c)))
         xs = Tensor(RNG.uniform(-1, 1, (2, 16, c)))
         with Tape() as tape:
-            y = shared_attention(xs, x_sa, shared, blk, grid)
+            y = shared_attention(xs, x_sa, {**shared, **blk}, "st", grid)
             tape.backward(mean(take_rows(y, probe)))
-        for param in (shared.q.w, shared.k.w, shared.table):
+        for name in ("st.shared.q.weight", "st.shared.k.weight", "st.shared.bias_table"):
+            param = shared[name]
             assert param.grad is not None and np.abs(param.grad).max() > 0
         other = 1 - probe
-        assert np.abs(blk.v.w.grad[probe]).max() > 0
-        assert not blk.v.w.grad[other].any(), "other stream's values must stay untouched"
+        v = blk["st.b2.v.weight"]
+        assert np.abs(v.grad[probe]).max() > 0
+        assert not v.grad[other].any(), "other stream's values must stay untouched"
 
 
 def test_shared_attention_op_gradient_check():
@@ -224,19 +228,20 @@ def test_shared_attention_op_gradient_check():
     # to ~1e-8, where central differences are noise
     c = 4
     grid = WindowGrid(4, 4, 2, 1)
-    shared, blk = _shared_p(c, 1, 2, RNG, 0.5), _block2(2, c, RNG)
+    p = {**_shared_p(c, 1, 2, RNG, 0.5), **_block2(2, c, RNG)}
     sa0 = RNG.uniform(-1, 1, (16, c))
     xs0 = RNG.uniform(-1, 1, (2, 16, c))
     coef = RNG.standard_normal((2, 16, c))
 
     def loss_from_sa(x_sa):
-        ys = shared_attention(Tensor(xs0), x_sa, shared, blk, grid)
+        ys = shared_attention(Tensor(xs0), x_sa, p, "st", grid)
         return mean(mul(ys, Tensor(coef)))
 
     assert grad_check(loss_from_sa, Tensor(sa0.copy(), requires_grad=True),
                       eps=1e-6) < 1e-5
-    for param in (shared.q.w, shared.table, blk.v.w, blk.out.b, blk.ln1.gamma):
-        assert grad_check(lambda _: loss_from_sa(Tensor(sa0)), param,
+    for name in ("st.shared.q.weight", "st.shared.bias_table", "st.b2.v.weight",
+                 "st.b2.out.bias", "st.b2.ln1.gamma"):
+        assert grad_check(lambda _: loss_from_sa(Tensor(sa0)), p[name],
                           eps=1e-6) < 1e-5
 
 
@@ -246,8 +251,8 @@ def test_decode_produces_full_width_token_maps():
     cfg = _small_cfg()
     m = init_params(cfg, seed=9)
     img = Tensor(RNG.uniform(0, 1, (64, 64, 3)))
-    pyr = encode(img, cfg, m.encoder)
-    ys = decode(pyr, cfg, m.decoder)
+    pyr = encode(img, cfg, m.flat)
+    ys = decode(pyr, cfg, m.flat)
     assert ys.shape == (len(cfg.tasks), 16 * 16, cfg.base_channels)
 
 
@@ -255,11 +260,11 @@ def test_decode_rejects_malformed_pyramid():
     cfg = _small_cfg()
     m = init_params(cfg, seed=9)
     img = Tensor(RNG.uniform(0, 1, (64, 64, 3)))
-    pyr = encode(img, cfg, m.encoder)
+    pyr = encode(img, cfg, m.flat)
     from mtformer.encoder import FeaturePyramid
     bad = FeaturePyramid(tuple(pyr)[:3] + (Tensor(np.zeros((9, 64))),), pyr.sides)
     with pytest.raises(DimensionError):
-        decode(bad, cfg, m.decoder)
+        decode(bad, cfg, m.flat)
 
 
 def test_reference_projections_learn_from_every_task_loss():
@@ -273,8 +278,8 @@ def test_reference_projections_learn_from_every_task_loss():
             preds = forward(m, img)
             tape.backward(mean(preds[probed]))
         for stage in range(4):
-            shared = m.decoder.stages[stage].shared
-            for param in (shared.q.w, shared.k.w, shared.table):
+            for part in ("q.weight", "k.weight", "bias_table"):
+                param = m.flat[f"decoder.s{stage}.shared.{part}"]
                 assert param.grad is not None and np.abs(param.grad).max() > 0, (
                     f"stage {stage} shared projections untouched by task {probed}")
 
@@ -282,7 +287,6 @@ def test_reference_projections_learn_from_every_task_loss():
 def test_independent_mode_has_no_cross_parameters():
     cfg = _small_cfg(shared_attention=False)
     m = init_params(cfg, seed=9)
-    assert all(stage.shared is None for stage in m.decoder.stages)
     assert not any(".shared." in name for name in m.flat)
     # every task owns a full second block: one q slice per task
     q = m.flat["decoder.s0.b2.q.weight"]
@@ -334,16 +338,16 @@ def test_task_head_shapes_and_activations():
     side = cfg.img_size // config.PATCH
     y = Tensor(RNG.uniform(-1, 1, (side * side, cfg.base_channels)))
 
-    s = task_head(y, "S", cfg, m.heads["S"]).data
+    s = task_head(y, "S", cfg, m.flat).data
     assert s.shape == (64, 64, NUM_CLASSES)
     np.testing.assert_allclose(s.sum(-1), 1.0, atol=1e-9)
     assert (s > 0).all()
 
-    n = task_head(y, "N", cfg, m.heads["N"]).data
+    n = task_head(y, "N", cfg, m.flat).data
     assert n.shape == (64, 64, 3)
     np.testing.assert_allclose((n ** 2).sum(-1), 1.0, atol=1e-9)
 
     for t in ("D", "K", "E", "R"):
-        v = task_head(y, t, cfg, m.heads[t]).data
+        v = task_head(y, t, cfg, m.flat).data
         assert v.shape == (64, 64, 1)
         assert (v > 0).all() and (v < 1).all()

@@ -7,16 +7,26 @@ from mtformer import config
 from mtformer.encoder import (block_shift_flags, encode, patch_embed,
                               patch_merge)
 from mtformer.errors import DimensionError
-from mtformer.layers import LinearP, NormP
 from mtformer.model import init_params
 from mtformer.tensor import Tape, Tensor, grad_check, mean, mul
 
 RNG = np.random.default_rng(2024)
 
 
-def _linear(c_in, c_out, rng, bias=True):
-    return LinearP(Tensor(rng.standard_normal((c_in, c_out)), requires_grad=True),
-                   Tensor(rng.standard_normal(c_out), requires_grad=True) if bias else None)
+def _linear(name, c_in, c_out, rng):
+    """Flat parameters of one projection ``name``."""
+    return {f"{name}.weight": Tensor(rng.standard_normal((c_in, c_out)), requires_grad=True),
+            f"{name}.bias": Tensor(rng.standard_normal(c_out), requires_grad=True)}
+
+
+def _norm(name, gamma, beta):
+    return {f"{name}.gamma": Tensor(gamma, requires_grad=True),
+            f"{name}.beta": Tensor(beta, requires_grad=True)}
+
+
+def _merge(gamma, beta, w):
+    """Flat parameters of one patch merge ``m``."""
+    return {**_norm("m.ln", gamma, beta), "m.weight": Tensor(w, requires_grad=True)}
 
 
 def test_patch_embed_token_layout():
@@ -25,34 +35,32 @@ def test_patch_embed_token_layout():
     h = w = 6
     p = 2
     img = RNG.uniform(-1, 1, (h, w, 3))
-    proj = _linear(p * p * 3, 5, RNG)
-    out = patch_embed(Tensor(img), proj, p).data
+    proj = _linear("e", p * p * 3, 5, RNG)
+    out = patch_embed(Tensor(img), proj, "e", p).data
     assert out.shape == (9, 5)
     for pi in range(h // p):
         for pj in range(w // p):
             flat = img[pi * p:(pi + 1) * p, pj * p:(pj + 1) * p, :].reshape(-1)
-            want = flat @ proj.w.data + proj.b.data
+            want = flat @ proj["e.weight"].data + proj["e.bias"].data
             np.testing.assert_allclose(out[pi * (w // p) + pj], want, rtol=1e-12)
 
 
 def test_patch_embed_rejects_bad_images():
-    proj = _linear(12, 4, RNG)
+    proj = _linear("e", 12, 4, RNG)
     with pytest.raises(DimensionError):
-        patch_embed(Tensor(np.zeros((8, 8))), proj, 2)
+        patch_embed(Tensor(np.zeros((8, 8))), proj, "e", 2)
     with pytest.raises(DimensionError):
-        patch_embed(Tensor(np.zeros((8, 8, 4))), proj, 2)
+        patch_embed(Tensor(np.zeros((8, 8, 4))), proj, "e", 2)
     with pytest.raises(DimensionError):
-        patch_embed(Tensor(np.zeros((9, 8, 3))), proj, 2)
+        patch_embed(Tensor(np.zeros((9, 8, 3))), proj, "e", 2)
 
 
 def test_patch_merge_neighborhood_order():
     side, c = 4, 3
     x = RNG.uniform(-1, 1, (side * side, c))
-    from mtformer.encoder import MergeP
-    p = MergeP(norm=NormP(Tensor(RNG.uniform(0.5, 1.5, 4 * c), requires_grad=True),
-                          Tensor(RNG.uniform(-0.5, 0.5, 4 * c), requires_grad=True)),
-               w=Tensor(RNG.standard_normal((4 * c, 2 * c)), requires_grad=True))
-    got = patch_merge(Tensor(x), side, p).data
+    p = _merge(RNG.uniform(0.5, 1.5, 4 * c), RNG.uniform(-0.5, 0.5, 4 * c),
+               RNG.standard_normal((4 * c, 2 * c)))
+    got = patch_merge(Tensor(x), side, p, "m").data
 
     grid = x.reshape(side, side, c)
     for i in range(side // 2):
@@ -61,19 +69,17 @@ def test_patch_merge_neighborhood_order():
                                   grid[2 * i + 1, 2 * j], grid[2 * i + 1, 2 * j + 1]])
             mu, var = cat.mean(), cat.var()
             normed = (cat - mu) / np.sqrt(var + 1e-5)
-            want = (normed * p.norm.gamma.data + p.norm.beta.data) @ p.w.data
+            want = (normed * p["m.ln.gamma"].data + p["m.ln.beta"].data) @ p["m.weight"].data
             np.testing.assert_allclose(got[i * (side // 2) + j], want, rtol=1e-9,
                                        atol=1e-12)
 
 
 def test_patch_merge_rejects_odd_or_mismatched_grid():
-    from mtformer.encoder import MergeP
-    p = MergeP(norm=NormP(Tensor(np.ones(8)), Tensor(np.zeros(8))),
-               w=Tensor(np.zeros((8, 4))))
+    p = _merge(np.ones(8), np.zeros(8), np.zeros((8, 4)))
     with pytest.raises(DimensionError):
-        patch_merge(Tensor(np.zeros((9, 2))), 3, p)
+        patch_merge(Tensor(np.zeros((9, 2))), 3, p, "m")
     with pytest.raises(DimensionError):
-        patch_merge(Tensor(np.zeros((8, 2))), 4, p)
+        patch_merge(Tensor(np.zeros((8, 2))), 4, p, "m")
 
 
 def test_shift_alternation_regular_first():
@@ -86,7 +92,7 @@ def test_pyramid_shapes_and_sides():
     cfg = config.preset("desk-nano")
     m = init_params(cfg, seed=3)
     img = Tensor(RNG.uniform(0, 1, (cfg.img_size, cfg.img_size, 3)))
-    pyr = encode(img, cfg, m.encoder)
+    pyr = encode(img, cfg, m.flat)
     assert pyr.sides == (32, 16, 8, 4)
     chans = config.stage_channels(cfg)
     for f, side, c in zip(pyr, pyr.sides, chans):
@@ -97,7 +103,7 @@ def test_encode_rejects_wrong_image_size():
     cfg = config.preset("desk-nano")
     m = init_params(cfg, seed=3)
     with pytest.raises(DimensionError):
-        encode(Tensor(np.zeros((64, 64, 3))), cfg, m.encoder)
+        encode(Tensor(np.zeros((64, 64, 3))), cfg, m.flat)
 
 
 def test_encode_deterministic_given_seed():
@@ -106,7 +112,7 @@ def test_encode_deterministic_given_seed():
     outs = []
     for _ in range(2):
         m = init_params(cfg, seed=11)
-        pyr = encode(Tensor(img.copy()), cfg, m.encoder)
+        pyr = encode(Tensor(img.copy()), cfg, m.flat)
         outs.append([f.data.copy() for f in pyr])
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
@@ -114,71 +120,66 @@ def test_encode_deterministic_given_seed():
 
 def test_patch_embed_and_merge_gradients():
     img = RNG.uniform(-1, 1, (4, 4, 3))
-    proj = _linear(12, 4, RNG)
+    proj = _linear("e", 12, 4, RNG)
     w_img = RNG.standard_normal((4, 4))
 
     def embed_loss(x):
-        return mean(mul(patch_embed(x, proj, 2), Tensor(w_img)))
+        return mean(mul(patch_embed(x, proj, "e", 2), Tensor(w_img)))
 
     assert grad_check(embed_loss, Tensor(img.copy(), requires_grad=True), eps=1e-6) < 1e-4
-    assert grad_check(lambda _: embed_loss(Tensor(img)), proj.w, eps=1e-6) < 1e-4
+    assert grad_check(lambda _: embed_loss(Tensor(img)), proj["e.weight"], eps=1e-6) < 1e-4
 
-    from mtformer.encoder import MergeP
-    p = MergeP(norm=NormP(Tensor(RNG.uniform(0.5, 1.5, 8), requires_grad=True),
-                          Tensor(np.zeros(8), requires_grad=True)),
-               w=Tensor(RNG.standard_normal((8, 4)), requires_grad=True))
+    p = _merge(RNG.uniform(0.5, 1.5, 8), np.zeros(8), RNG.standard_normal((8, 4)))
     x0 = RNG.uniform(-1, 1, (16, 2))
     w_m = RNG.standard_normal((4, 4))
 
     def merge_loss(x):
-        return mean(mul(patch_merge(x, 4, p), Tensor(w_m)))
+        return mean(mul(patch_merge(x, 4, p, "m"), Tensor(w_m)))
 
     assert grad_check(merge_loss, Tensor(x0.copy(), requires_grad=True), eps=1e-6) < 1e-4
-    for param in (p.norm.gamma, p.w):
+    for param in (p["m.ln.gamma"], p["m.weight"]):
         assert grad_check(lambda _: merge_loss(Tensor(x0)), param, eps=1e-6) < 1e-4
 
 
 def test_full_block_gradients_through_shifted_windows():
     # pre-norm block on an 8x8 grid, window 4, shift 2: covers the LN + attn +
     # residual + MLP composition end to end
-    from mtformer.layers import BlockP, attention_block
+    from mtformer.layers import attention_block
     from mtformer.windowing import WindowGrid
     rng = np.random.default_rng(5)
-    blk = BlockP(ln1=NormP(Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True),
-                           Tensor(rng.uniform(-0.2, 0.2, 4), requires_grad=True)),
-                 q=_linear(4, 4, rng), k=_linear(4, 4, rng), v=_linear(4, 4, rng),
-                 out=_linear(4, 4, rng),
-                 table=Tensor(0.05 * rng.standard_normal((49, 2)), requires_grad=True),
-                 ln2=NormP(Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True),
-                           Tensor(np.zeros(4), requires_grad=True)),
-                 fc1=_linear(4, 8, rng), fc2=_linear(8, 4, rng))
+    blk = {**_norm("b.ln1", rng.uniform(0.5, 1.5, 4), rng.uniform(-0.2, 0.2, 4)),
+           **_linear("b.q", 4, 4, rng), **_linear("b.k", 4, 4, rng),
+           **_linear("b.v", 4, 4, rng), **_linear("b.out", 4, 4, rng),
+           "b.bias_table": Tensor(0.05 * rng.standard_normal((49, 2)), requires_grad=True),
+           **_norm("b.ln2", rng.uniform(0.5, 1.5, 4), np.zeros(4)),
+           **_linear("b.fc1", 4, 8, rng), **_linear("b.fc2", 8, 4, rng)}
     grid = WindowGrid(8, 8, 4, 2)
     x0 = RNG.uniform(-1, 1, (64, 4))
     w_out = RNG.standard_normal((64, 4))
 
     def loss(x):
-        return mean(mul(attention_block(x, blk, grid, shifted=True), Tensor(w_out)))
+        return mean(mul(attention_block(x, blk, "b", grid), Tensor(w_out)))
 
     assert grad_check(loss, Tensor(x0.copy(), requires_grad=True), eps=1e-6) < 1e-4
-    for param in (blk.q.w, blk.table, blk.fc2.b, blk.ln1.gamma):
+    for name in ("b.q.weight", "b.bias_table", "b.fc2.bias", "b.ln1.gamma"):
+        param = blk[name]
         assert grad_check(lambda _: loss(Tensor(x0)), param, eps=1e-6) < 1e-4
 
 
 def test_zeroed_projections_make_block_identity():
     # both residual branches end in a projection; zeroing out and fc2 must
     # reduce the block to an exact identity map
-    from mtformer.layers import BlockP, attention_block
+    from mtformer.layers import attention_block
     from mtformer.windowing import WindowGrid
     rng = np.random.default_rng(11)
-    blk = BlockP(ln1=NormP(Tensor(rng.uniform(0.5, 1.5, 4)), Tensor(rng.standard_normal(4))),
-                 q=_linear(4, 4, rng), k=_linear(4, 4, rng), v=_linear(4, 4, rng),
-                 out=LinearP(Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))),
-                 table=Tensor(rng.standard_normal((49, 2))),
-                 ln2=NormP(Tensor(rng.uniform(0.5, 1.5, 4)), Tensor(rng.standard_normal(4))),
-                 fc1=_linear(4, 8, rng),
-                 fc2=LinearP(Tensor(np.zeros((8, 4))), Tensor(np.zeros(4))))
-    grid = WindowGrid(8, 8, 4, 2)
+    blk = {**_norm("b.ln1", rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)),
+           **_linear("b.q", 4, 4, rng), **_linear("b.k", 4, 4, rng), **_linear("b.v", 4, 4, rng),
+           "b.out.weight": Tensor(np.zeros((4, 4))), "b.out.bias": Tensor(np.zeros(4)),
+           "b.bias_table": Tensor(rng.standard_normal((49, 2))),
+           **_norm("b.ln2", rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)),
+           **_linear("b.fc1", 4, 8, rng),
+           "b.fc2.weight": Tensor(np.zeros((8, 4))), "b.fc2.bias": Tensor(np.zeros(4))}
     x = RNG.uniform(-1, 1, (64, 4))
-    for shifted in (False, True):
-        y = attention_block(Tensor(x.copy()), blk, grid, shifted)
+    for shift in (0, 2):
+        y = attention_block(Tensor(x.copy()), blk, "b", WindowGrid(8, 8, 4, shift))
         assert np.array_equal(y.data, x)

@@ -1,5 +1,6 @@
 """Model assembly: parameter registry, initialization, end to end forward."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from mtformer import config, tensor
 from mtformer.losses import combine_losses, per_task_loss
-from mtformer.model import INIT_STD, Model, forward, init_params
+from mtformer.model import INIT_STD, Model, empty_params, forward, init_params
 from mtformer.synthetic import generate_sample
 from mtformer.tensor import Tape, Tensor
 
@@ -210,27 +211,88 @@ def test_init_rejects_invalid_config():
 
 def test_duplicate_parameter_name_is_a_configuration_error():
     from mtformer.errors import ConfigurationError
-    from mtformer.model import _Builder
-    b = _Builder(None, np.float64)
-    b.linear("x", 2, 2)
+    from mtformer.model import build_params
+    plain = ("x.weight", (2, 2), "normal", None, False)
     with pytest.raises(ConfigurationError, match="duplicate parameter x.weight"):
-        b.linear("x", 2, 2)
-    b.slot = (0, 2)  # slice 0 of a stacked tensor registers it
-    b.weight("y", (2, 2))
-    with pytest.raises(ConfigurationError, match="duplicate parameter y"):
-        b.weight("y", (2, 2))
+        build_params([plain, plain], 2, None, np.float64)
+    # slice 0 of a stacked tensor registers it and slice 1 fills it; either
+    # slice again, or the name unstacked, is a duplicate
+    sliced = [("y", (2, 2), "normal", k, True) for k in (0, 1)]
+    flat, stacked = build_params(sliced, 2, None, np.float64)
+    assert flat["y"].shape == (2, 2, 2) and stacked == {"y"}
+    unstacked = ("y", (2, 2), "normal", None, False)
+    for layout in (sliced + sliced[:1], sliced + [unstacked], [unstacked] + sliced):
+        with pytest.raises(ConfigurationError, match="duplicate parameter y"):
+            build_params(layout, 2, None, np.float64)
 
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_shared_block_borrows_the_stage_bundle(shared):
+    # with sharing, b2 of every stage has no q, k or bias table of its own:
+    # the stage holds one unstacked shared bundle instead
     cfg = replace(config.preset("desk-nano"), shared_attention=shared)
     m = init_params(cfg, seed=0)
-    for i, stage in enumerate(m.decoder.stages):
-        own = (stage.block2.q, stage.block2.k, stage.block2.table)
+    parts = ("q.weight", "q.bias", "k.weight", "k.bias", "bias_table")
+    for i in range(4):
+        own = {f"decoder.s{i}.b2.{part}" for part in parts}
+        bundle = {f"decoder.s{i}.shared.{part}" for part in parts}
         if shared:
-            assert own == (None, None, None)
-            assert stage.shared.q.w is m.flat[f"decoder.s{i}.shared.q.weight"]
-            assert stage.shared.table is m.flat[f"decoder.s{i}.shared.bias_table"]
+            assert not own & m.flat.keys()
+            assert bundle <= m.flat.keys() - m.stacked
         else:
-            assert stage.shared is None
-            assert stage.block2.q.w is m.flat[f"decoder.s{i}.b2.q.weight"]
+            assert not bundle & m.flat.keys()
+            assert own <= m.stacked
+
+
+# sha256 of (name, shape) in flat order, and of the init_params(seed=0)
+# bytes, pinned before the layout became one declaration: the order is the
+# checkpoint order, and the bytes are what a seed draws
+_NANO = config.preset("desk-nano")
+LAYOUT_VARIANTS = {
+    "desk-nano": (_NANO,
+                  "db9af540c1bf3d80052dd4a2e38dbdbb075ca9324d00742b25884d34f1811f42",
+                  "ee657af1b5ebd0eb83c620632deeec53dcf7d27d6f8af9af842662aa5cbc132a"),
+    "unshared": (replace(_NANO, shared_attention=False),
+                 "587a228e07ccf39d40b90f5ea935fe5fc6dcadfef340591a0c9e9fb0e292ca1c",
+                 "3473c262e85ba4b3546737673e747f86076f2ab2c3d68f71b35953d5debd6cf5"),
+    "reference-first": (replace(_NANO, tasks=("N", "D")),
+                        "d958049203194491280cfb499e591c3a8f0b218233a0d67f7958bcfec1e811df",
+                        "409f98729f076d87b6c5ccefd7891c825cf588b276b62c4d2bd202c77f2c9687"),
+    "reference-last": (replace(_NANO, tasks=("S", "D"), reference_task="D"),
+                       "b580071b719b0ed0db51e0da891de38b29f4e69a4e60eb5bf0ccb2f7021cabf2",
+                       "9ca6bf4c7d09d8f4d81cedf880f8d010f2842651857a194a430cb3966db4cfa6"),
+    "one-task": (replace(_NANO, tasks=("N",)),
+                 "f8e76b529f3d8c4365b733f31201338f33ee9601ad5e1ce6a2a79240b0fdce00",
+                 "ebd678943c6032319b77b570f9ee3bef41dd5923b36eda76b51248da4572a114"),
+    "window-2": (replace(_NANO, window=2),
+                 "dc7f152d3d15865b73796e66465a3086af9fe6012a13d32fd03064856358d4a6",
+                 "fdae52a3383a3ca6096a3286efa1c680893ad2f0e8e2a04f7c6e24143428a1a1"),
+    "decoder-mlp-4": (replace(_NANO, decoder_mlp_ratio=4),
+                      "45d2e51f2a23515aa85cf939ab92b1c2e483f34dca566da4adbd552676e8600a",
+                      "c2f5d512b15a61f67fa65051e701eff42da89b643c4250e09490fad702588676"),
+}
+
+
+@pytest.mark.parametrize("variant", LAYOUT_VARIANTS)
+def test_layout_and_init_bytes_are_pinned(variant):
+    cfg, names_digest, bytes_digest = LAYOUT_VARIANTS[variant]
+    m = init_params(cfg, seed=0)
+    names, data = hashlib.sha256(), hashlib.sha256()
+    for name, p in m.flat.items():
+        names.update(f"{name} {p.data.shape}\n".encode())
+        data.update(p.data.tobytes())
+    assert names.hexdigest() == names_digest
+    assert data.hexdigest() == bytes_digest
+    empty = empty_params(cfg)
+    assert [(n, p.shape) for n, p in empty.flat.items()] == \
+        [(n, p.shape) for n, p in m.flat.items()]
+
+
+def test_shared_bundle_sits_where_the_reference_task_first_declares_it():
+    # the reference task's pass declares the shared bundle inside b2, so it
+    # follows every stacked decoder tensor unless the reference task is first
+    first = list(init_params(replace(_NANO, tasks=("N", "D")), seed=0).flat)
+    last = list(init_params(replace(_NANO, tasks=("D", "N")), seed=0).flat)
+    assert first.index("decoder.s0.shared.q.weight") == first.index("decoder.s0.b2.ln1.beta") + 1
+    assert last.index("decoder.s0.shared.q.weight") > last.index("decoder.expand2.weight")
+

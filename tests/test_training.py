@@ -137,11 +137,12 @@ def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
         assert opt.v[name].tobytes() == res.optim.v[name].tobytes(), name
 
 
-def test_evaluate_accepts_checkpoint_path(tmp_path):
+def test_evaluate_of_loaded_checkpoint_reproduces_final_record(tmp_path):
     cfg, data = tiny_cfg(), tiny_data()
     ckpt = tmp_path / "run.mtck"
     res = train(cfg, data, tiny_options(), ckpt_path=ckpt)
-    assert evaluate(ckpt, data) == res.metrics[-1]["losses"]
+    model, _, _, _ = load_checkpoint(ckpt)
+    assert evaluate(model, data) == res.metrics[-1]["losses"]
 
 
 def test_checkpoint_without_optimizer(tmp_path):

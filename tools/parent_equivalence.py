@@ -16,7 +16,13 @@ computes, on the desk-nano preset with seed 0 and BLAS pinned to one thread:
   field of every scene;
 * the bytes of the ``save_checkpoint`` file of that trained model with its
   optimizer state, and every parameter and moment ``load_checkpoint``
-  returns from that file.
+  returns from that file;
+* the parameter layout of seven desk-nano variants (shared attention on
+  and off, the reference task first, last and alone, window 2, decoder
+  MLP ratio 4): the tensor names in order and their shapes, from both
+  ``init_params`` and ``empty_params``, and the ``init_params(seed=0)``
+  bytes; and the ``config.count_parameters`` breakdown of every preset
+  with shared attention on and off.
 
 It prints, per group, how many tensors are bitwise equal and the largest
 relative difference max|a - b| / max|a| over the group, then one line per
@@ -41,6 +47,15 @@ REPO = Path(__file__).resolve().parents[1]
 CONFIGS = [(dt, shared) for dt in ("float64", "float32") for shared in (True, False)]
 TRAIN_STEPS = 3
 SCENES, SCENE_SIZES = 4, (32, 128)
+LAYOUT_VARIANTS = {
+    "desk-nano": {},
+    "unshared": {"shared_attention": False},
+    "reference-first": {"tasks": ("N", "D")},
+    "reference-last": {"tasks": ("S", "D"), "reference_task": "D"},
+    "one-task": {"tasks": ("N",)},
+    "window-2": {"window": 2},
+    "decoder-mlp-4": {"decoder_mlp_ratio": 4},
+}
 
 
 def _worker(out_path: str) -> None:
@@ -49,7 +64,7 @@ def _worker(out_path: str) -> None:
 
     from mtformer import config, training
     from mtformer.losses import per_task_loss
-    from mtformer.model import forward, init_params
+    from mtformer.model import empty_params, forward, init_params
     from mtformer.synthetic import generate_dataset, generate_sample
     from mtformer.tensor import Tape, Tensor, add, mul
 
@@ -98,6 +113,21 @@ def _worker(out_path: str) -> None:
         arrays[f"checkpoint load/{name}"] = p.data
         arrays[f"checkpoint load/{name} first moment"] = opt.m[name]
         arrays[f"checkpoint load/{name} second moment"] = opt.v[name]
+
+    for label, over in LAYOUT_VARIANTS.items():
+        cfg = replace(base, **over)
+        model = init_params(cfg, seed=0)
+        arrays[f"layout/{label} init bytes"] = np.frombuffer(
+            b"".join(p.data.tobytes() for p in model.flat.values()), np.uint8)
+        for kind, flat in (("init", model.flat), ("empty", empty_params(cfg).flat)):
+            arrays[f"layout/{label} {kind} names"] = np.frombuffer("\n".join(flat).encode(), np.uint8)
+            arrays[f"layout/{label} {kind} shapes"] = np.array(
+                [d for p in flat.values() for d in (p.data.ndim, *p.data.shape)])
+    for name in config.PRESETS:
+        for shared in (True, False):
+            counts = config.count_parameters(replace(config.preset(name), shared_attention=shared))
+            arrays[f"layout/{name} {'shared' if shared else 'unshared'} count"] = np.array(
+                [counts.encoder, *counts.decoder.values(), *counts.heads.values(), counts.total])
     np.savez(out_path, **arrays)
 
 
