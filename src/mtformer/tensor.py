@@ -25,7 +25,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import ConfigurationError, DataError, DimensionError, OracleError
 
@@ -414,7 +413,12 @@ def abs_(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    data = expit(a.data)
+    """1 / (1 + exp(-a)): exactly 0 where exp(-a) overflows, 1 where it underflows."""
+    data = np.negative(a.data)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(data, out=data)
+    data += 1.0
+    np.divide(1.0, data, out=data)
 
     def backward(g):
         return (g * data * (1.0 - data),)
@@ -501,13 +505,154 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _from_op(data, (x, gamma, beta), backward)
 
 
+# erf by the rational approximations of FreeBSD msun s_erf.c (Sun
+# Microsystems, 1993), one per range of |x|:
+#   [0, 0.84375)     x + x P(x^2) / Q(x^2)
+#   [0.84375, 1.25)  erx + P(s) / Q(s) with s = |x| - 1
+#   [1.25, 6)        1 - exp(-z^2 - 0.5625) exp((z - x)(z + x) + R(s) / S(s)) / x
+#                    with s = 1 / x^2 and z = x with its low 32 bits cleared,
+#                    so z^2 is exact; R/S has one set below 1/0.35, one above
+#   [6, inf]         1
+# and erf(-x) = -erf(x).  Coefficients are s_erf.c's, lowest degree first.
+_ERX = 8.45062911510467529297e-01
+_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01, -2.84817495755985104766e-02,
+       -5.77027029648944159157e-03, -2.37630166566501626084e-05)
+_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02, 5.08130628187576562776e-03,
+       1.32494738004321644526e-04, -3.96022827877536812320e-06)
+_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01, -3.72207876035701323847e-01,
+       3.18346619901161753674e-01, -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+       -2.16637559486879084300e-03)
+_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01, 7.18286544141962662868e-02,
+       1.26171219808761642112e-01, 1.36370839120290507362e-02, 1.19844998467991074170e-02)
+_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01, -1.05586262253232909814e+01,
+       -6.23753324503260060396e+01, -1.62396669462573470355e+02, -1.84605092906711035994e+02,
+       -8.12874355063065934246e+01, -9.81432934416914548592e+00)
+_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02, 4.34565877475229228821e+02,
+       6.45387271733267880336e+02, 4.29008140027567833386e+02, 1.08635005541779435134e+02,
+       6.57024977031928170135e+00, -6.04244152148580987438e-02)
+_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01, -1.77579549177547519889e+01,
+       -1.60636384855821916062e+02, -6.37566443368389627722e+02, -1.02509513161107724954e+03,
+       -4.83519191608651397019e+02)
+_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02, 1.53672958608443695994e+03,
+       3.19985821950859553908e+03, 2.55305040643316442583e+03, 4.74528541206955367215e+02,
+       -2.24409524465858183362e+01)
+# Phi(x) = 1/2 + erf(x / sqrt 2) / 2 over the first range: with u = x / sqrt 2,
+# u^2 = x^2 / 2 goes into P and Q as the factor 2^-i on coefficient i, and
+# u / 2 = c x with c = 1 / (2 sqrt 2), so Phi(x) = 1/2 + x (c + c P(x^2/2) / Q(x^2/2))
+_C = 0.5 / math.sqrt(2.0)
+_PP_NDTR = tuple(_C * p / 2 ** i for i, p in enumerate(_PP))
+_QQ_NDTR = tuple(q / 2 ** i for i, q in enumerate(_QQ))
+_SMALL = 0.84375 ** 2  # x^2 bound of the first range, exact in binary
+_CHUNK = 1 << 14  # elements per pass, so the three work rows stay in cache
+
+
+def _poly(coefs, z, out=None):
+    """sum(coefs[i] * z**i) by Horner's rule, in ``z``'s dtype."""
+    out = np.multiply(z, coefs[-1], out=out)
+    out += coefs[-2]
+    for c in coefs[-3::-1]:
+        out *= z
+        out += c
+    return out
+
+
+def _erf_outer(x: np.ndarray) -> np.ndarray:
+    """erf of float64 ``x`` by the three ranges of |x| >= 0.84375 (a value a
+    rounding below 0.84375 takes the second range's form, still accurate)."""
+    a = np.abs(x)
+    y = np.ones_like(a)
+    mid = a < 1.25
+    s = a[mid] - 1.0
+    y[mid] = _ERX + _poly(_PA, s) / _poly(_QA, s)
+    for lo, hi, r, q in ((1.25, 1 / 0.35, _RA, _SA), (1 / 0.35, 6.0, _RB, _SB)):
+        sel = (lo <= a) & (a < hi)
+        t = a[sel]
+        s = 1.0 / (t * t)
+        z = (t.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(np.float64)
+        y[sel] = 1.0 - np.exp(-z * z - 0.5625) * np.exp((z - t) * (z + t) + _poly(r, s) / _poly(q, s)) / t
+    return np.copysign(y, x)
+
+
+def _outside(x: np.ndarray, z: np.ndarray, bound: float):
+    """None when every ``z = x * x`` is below ``bound``, else the mask of
+    those that are not and their ``x`` in float64.  NaN is in neither: the
+    first range's form carries it through."""
+    if z.max() < bound:
+        return None
+    mask = z >= bound
+    return mask, x[mask].astype(np.float64, copy=False)
+
+
+def _erf_chunk(x, out, z, p, q) -> None:
+    np.multiply(x, x, out=z)
+    far = _outside(x, z, _SMALL)  # read before ``out`` is written: it may be ``x``
+    _poly(_PP, z, p)
+    p /= _poly(_QQ, z, q)
+    p *= x
+    np.add(x, p, out=out)
+    if far is not None:
+        out[far[0]] = _erf_outer(far[1])
+
+
+def _ndtr_chunk(x, out, z, p, q) -> None:
+    np.multiply(x, x, out=z)
+    far = _outside(x, z, 2.0 * _SMALL)
+    _poly(_PP_NDTR, z, p)
+    p /= _poly(_QQ_NDTR, z, q)
+    p += _C
+    p *= x
+    np.add(p, 0.5, out=out)
+    if far is not None:
+        phi = _erf_outer(far[1] / math.sqrt(2.0))
+        phi += 1.0
+        phi *= 0.5
+        out[far[0]] = phi
+
+
+def _by_chunks(chunk_kernel, x, out) -> np.ndarray:
+    """Run ``chunk_kernel(x, out, z, p, q)`` over ``_CHUNK``-element pieces.
+
+    float32 is computed in float32 (the outer ranges, rarely met, in
+    float64); anything else in float64.  ``out``, when given, must have
+    ``x``'s shape, be C-contiguous in the computed dtype, and may be ``x``.
+    The first range's form runs on every element and overflows or turns
+    invalid far outside that range, where the exact form replaces it, so
+    floating-point error reporting is off inside.
+    """
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    elif out.shape != x.shape or out.dtype != x.dtype or not out.flags.c_contiguous:
+        raise DimensionError(f"out must be a C-contiguous {x.dtype} array of shape {x.shape}")
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    work = np.empty((3, min(flat_x.size, _CHUNK)), x.dtype)
+    with np.errstate(all="ignore"):
+        for i in range(0, flat_x.size, _CHUNK):
+            xc = flat_x[i:i + _CHUNK]
+            chunk_kernel(xc, flat_out[i:i + _CHUNK], *work[:, :xc.size])
+    return out
+
+
+def _erf(x, out=None) -> np.ndarray:
+    """The error function, elementwise, within 1 ulp of the correctly
+    rounded value in float64 and float32; erf(+-inf) = +-1, erf(nan) = nan
+    and erf(-0.0) = -0.0."""
+    return _by_chunks(_erf_chunk, x, out)
+
+
+def _ndtr(x) -> np.ndarray:
+    """The standard normal distribution function Phi(x) = (1 + erf(x /
+    sqrt 2)) / 2, elementwise, within 2 ** -52 (float64) of the exact value."""
+    return _by_chunks(_ndtr_chunk, x, None)
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit, x * Phi(x) with the erf form."""
+    """Exact Gaussian error linear unit, x * Phi(x) with Phi the standard
+    normal distribution function (1 + erf(x / sqrt 2)) / 2."""
     x = a.data
-    phi = x / math.sqrt(2.0)
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
+    phi = _ndtr(x)
 
     def backward(g):
         d = -0.5 * x

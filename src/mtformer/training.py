@@ -154,9 +154,11 @@ def train(cfg: ArchConfig, data, options: RunOptions,
                 sums[t] += v
             total_sum += total
         mean_total = total_sum / options.batch_size
-        if not np.isfinite(mean_total):
-            raise NumericsError(f"non-finite loss at step {step}")
         means = {t: sums[t] / options.batch_size for t in cfg.tasks}
+        if not np.isfinite(mean_total):
+            bad = [t for t in cfg.tasks if not np.isfinite(means[t])]
+            raise NumericsError(f"non-finite loss at step {step}"
+                                + (f" in task {bad[0]}" if bad else ""))
         if ema is not None:
             update_ema(ema, means)
         grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data)

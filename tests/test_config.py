@@ -114,40 +114,68 @@ def test_parameter_count_monotone_in_tasks():
     assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
-def test_desk_nano_count_matches_independent_closed_form():
-    # spreadsheet oracle, derived by hand from the layer inventory before the
-    # counting code was written; C=16, window 4 so bias tables have 49 rows
-    embed = 3 * 16 * 16 + 16                                   # 784
-    enc_block = lambda C, M: 12 * C * C + 13 * C + 49 * M      # 2 norms + qkv + out + 4x MLP
+def _closed_form(window=4, mlp_ratio=4, decoder_mlp_ratio=2, tasks=TASKS,
+                 reference_task="N", shared_attention=True):
+    """Spreadsheet oracle, derived by hand from the layer inventory, of the
+    desk-nano layout (C=16, depths 1-1-2-1, heads 1-2-4-8 and 8-4-2-1) with
+    the fields that change the count left free; returns the encoder, the
+    per-task decoders, the per-task heads and the total."""
+    rows = (2 * window - 1) ** 2                               # bias-table rows
+    # 2 norms (4C) + q/k/v/out (4C^2+4C) + table + r-x MLP (2rC^2+rC+C)
+    block = lambda C, M, r: (4 + 2 * r) * C * C + (9 + r) * C + rows * M
     merge = lambda C: 8 * C * C + 8 * C
-    encoder = (embed + enc_block(16, 1) + enc_block(32, 2) + 2 * enc_block(64, 4)
-               + enc_block(128, 8) + merge(16) + merge(32) + merge(64))
-    assert encoder == 359843
-
-    # decoder blocks use 2x MLPs: block1 8C^2+11C+49M, block2 task part 6C^2+9C,
-    # fuse C^2+C, so 15 C^2 + 21 C + 49 M per task and stage
-    stage = lambda C, M: 15 * C * C + 21 * C + 49 * M
+    embed = 3 * 16 * 16 + 16
+    encoder = (embed + block(16, 1, mlp_ratio) + block(32, 2, mlp_ratio)
+               + 2 * block(64, 4, mlp_ratio) + block(128, 8, mlp_ratio)
+               + merge(16) + merge(32) + merge(64))
+    # per task and stage: block1, block2 less its q/k/table, fuse C^2+C
+    cross = lambda C, M: 2 * (C * C + C) + rows * M            # q/k + table
+    stage = lambda C, M: (2 * block(C, M, decoder_mlp_ratio) - cross(C, M) + C * C + C)
     per_task = (stage(128, 8) + stage(64, 4) + stage(32, 2) + stage(16, 1)
                 + (128 * 128 + 128)                            # stream init
                 + 2 * 128 * 128 + 2 * 64 * 64 + 2 * 32 * 32)   # three patch expands
-    assert per_task == 391695
-    cross = lambda C, M: 2 * (C * C + C) + 49 * M              # shared q/k + table, once
     shared = cross(128, 8) + cross(64, 4) + cross(32, 2) + cross(16, 1)
-    assert shared == 44735
-    heads = (512 + 128 + 4 * 8 + 8) + (512 + 128 + 4 * 3 + 3) + 4 * (512 + 128 + 4 * 1 + 1)
+    decoder = {t: per_task + (shared if not shared_attention or t == reference_task else 0)
+               for t in tasks}
+    out = {"S": 8, "N": 3, "D": 1, "K": 1, "E": 1, "R": 1}
+    heads = {t: 512 + 128 + 4 * out[t] + out[t] for t in tasks}  # two expands, 1x1 out
+    total = encoder + sum(decoder.values()) + sum(heads.values())
+    return encoder, decoder, heads, total
 
-    expected_total = encoder + 6 * per_task + shared + heads
-    assert expected_total == 2758663
+
+def test_desk_nano_count_matches_independent_closed_form():
+    encoder, decoder, heads, total = _closed_form()
+    assert encoder == 359843
+    # decoder blocks use 2x MLPs: 15 C^2 + 21 C + 49 M per task and stage
+    assert decoder["S"] == 391695
+    assert decoder["N"] - decoder["S"] == 44735                # the shared bundle, once
+    assert total == 2758663
+    assert _closed_form(shared_attention=False)[3] == 2982338
 
     pc = count_parameters(preset("desk-nano"))
-    assert pc.total == expected_total
-    assert pc.encoder == encoder
-    assert pc.decoder["N"] == per_task + shared
-    assert pc.decoder["S"] == per_task
+    assert (pc.encoder, pc.decoder, pc.heads, pc.total) == (encoder, decoder, heads, total)
+    off = replace(preset("desk-nano"), shared_attention=False)
+    assert count_parameters(off).total == 2982338
 
-    off_total = encoder + 6 * (per_task + shared) + heads
-    assert off_total == 2982338
-    assert count_parameters(replace(preset("desk-nano"), shared_attention=False)).total == off_total
+
+COUNT_VARIANTS = {
+    "unshared": {"shared_attention": False},
+    "one-task": {"tasks": ("N",)},
+    "reference-last": {"tasks": ("S", "D"), "reference_task": "D"},
+    "reference-first": {"tasks": ("N", "D")},
+    "decoder-mlp-4": {"decoder_mlp_ratio": 4},
+    "window-2": {"window": 2},
+    "mlp-2-three-tasks": {"mlp_ratio": 2, "tasks": ("E", "S", "R"), "reference_task": "R"},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(COUNT_VARIANTS))
+def test_variant_counts_match_independent_closed_form(variant):
+    # counted from the layout alone; no model is built
+    fields = COUNT_VARIANTS[variant]
+    encoder, decoder, heads, total = _closed_form(**fields)
+    pc = count_parameters(replace(preset("desk-nano"), **fields))
+    assert (pc.encoder, pc.decoder, pc.heads, pc.total) == (encoder, decoder, heads, total)
 
 
 def test_mult_large_lands_near_published_total():

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from mtformer import config
 from mtformer.decoder import decode, patch_expand, shared_attention, task_head
@@ -140,9 +139,12 @@ def _ln(x, p, name, k):
     return (x - mu) / np.sqrt(var + 1e-5) * p[f"{name}.gamma"].data[k] + p[f"{name}.beta"].data[k]
 
 
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def _mlp(x, p, k):
     h = _lin(x, p, "st.b2.fc1", k)
-    return _lin(h * 0.5 * (1.0 + erf(h / math.sqrt(2.0))), p, "st.b2.fc2", k)
+    return _lin(h * 0.5 * (1.0 + _erf(h / math.sqrt(2.0))), p, "st.b2.fc2", k)
 
 
 def _shared_oracle(x_sa, xs, p, att=None, win=None):

@@ -1,6 +1,9 @@
 """Source-level checks on the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mtformer"
@@ -33,3 +36,28 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert not unused, f"unused imports in src/mtformer: {', '.join(unused)}"
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # mtformer is numpy-only: every import is relative, numpy, or stdlib
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {root}" for root in roots
+                      if root != "numpy" and root not in sys.stdlib_module_names]
+    assert not found, f"imports outside numpy and the standard library: {', '.join(found)}"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, mtformer.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]", out.stdout

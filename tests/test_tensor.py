@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from mtformer import tensor as T
 from mtformer.errors import ConfigurationError, DataError, DimensionError, OracleError
@@ -101,6 +100,89 @@ def test_sigmoid_matches_closed_form():
     x = np.linspace(-6, 6, 13)
     np.testing.assert_allclose(
         T.sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)), rtol=0, atol=1e-12)
+
+
+def test_sigmoid_saturates_to_exact_bounds_without_warning():
+    for dtype in (np.float64, np.float32):
+        with np.errstate(all="raise"):
+            y = T.sigmoid(Tensor(np.array([-1000.0, 1000.0], dtype=dtype))).data
+        assert y.dtype == dtype
+        assert y[0] == 0.0 and y[1] == 1.0
+
+
+# ------------------------------------------------------------- erf kernels
+
+def _ulps(got, want):
+    """Distance in units in the last place, per element, of same-dtype arrays."""
+    ints = np.int64 if got.dtype == np.float64 else np.int32
+    def ordered(v):  # IEEE bit patterns as integers that sort like the values
+        i = v.view(ints).astype(np.int64)
+        return np.where(i < 0, np.iinfo(ints).min - i, i)
+    return np.abs(ordered(got) - ordered(want))
+
+
+def _math_erf(x, dtype):
+    """Oracle: math.erf of each element of ``x``, rounded to ``dtype``."""
+    with np.errstate(under="ignore"):  # float32 rounding of a subnormal erf
+        return np.array([math.erf(v) for v in x.tolist()]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_erf_within_one_ulp_of_math_erf_on_a_dense_grid(dtype):
+    # 2 M points cover all four ranges of s_erf.c and both signs
+    x = np.linspace(-8.0, 8.0, 2_000_001).astype(dtype)
+    with np.errstate(all="raise"):
+        got = T._erf(x)
+    assert got.dtype == dtype
+    assert _ulps(got, _math_erf(x, dtype)).max() <= 1
+
+
+@pytest.mark.parametrize("dtype, smallest", [(np.float64, -310), (np.float32, -45)])
+def test_erf_within_one_ulp_of_math_erf_over_magnitudes(dtype, smallest):
+    # log-spaced from subnormals to far past the saturation at 6
+    with np.errstate(under="ignore"):
+        mags = np.logspace(smallest, 3, 20_001).astype(dtype)
+    x = np.concatenate([mags, -mags])
+    with np.errstate(all="raise"):
+        got = T._erf(x)
+    assert _ulps(got, _math_erf(x, dtype)).max() <= 1
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_erf_special_values_raise_no_floating_point_error(dtype):
+    x = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 6.0, -6.0, np.finfo(dtype).max], dtype=dtype)
+    with np.errstate(all="raise"):
+        got = T._erf(x)
+    _assert_bitwise(got, np.array([1.0, -1.0, np.nan, -0.0, 0.0, 1.0, -1.0, 1.0], dtype=dtype))
+
+
+def test_erf_writes_into_out_and_keeps_shape():
+    x = np.linspace(-3.0, 3.0, 40_000).reshape(8, 5000)  # several chunks, every range
+    want = T._erf(x)
+    assert want.shape == x.shape
+    a = x.copy()
+    assert T._erf(a, out=a) is a
+    _assert_bitwise(a, want)
+    _assert_bitwise(T._erf(x.T), want.T)  # a non-contiguous input
+    with pytest.raises(DimensionError):
+        T._erf(x, out=np.empty((8, 5000), np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_ndtr_is_the_normal_distribution_function(dtype):
+    # Phi(x) = erfc(-x / sqrt 2) / 2, accurate in both tails; the folded
+    # kernel stays within one epsilon of it and of (1 + erf(x / sqrt 2)) / 2
+    x = np.linspace(-12.0, 12.0, 200_001).astype(dtype)
+    want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+    eps = np.finfo(dtype).eps
+    with np.errstate(all="raise"):
+        got = T._ndtr(x)
+    assert got.dtype == dtype
+    assert np.abs(got - want).max() <= eps
+    via_erf = 0.5 * (1.0 + T._erf(x.astype(np.float64) / math.sqrt(2.0)))
+    assert np.abs(got - via_erf).max() <= eps
+    _assert_bitwise(T._ndtr(np.array([np.inf, -np.inf, np.nan], dtype)),
+                    np.array([1.0, 0.0, np.nan], dtype))
 
 
 # ------------------------------------------------------------- gradient checks
@@ -668,7 +750,7 @@ def test_gelu_matches_plain_expression(shape, dtype, seed):
     g = _normal(rng, x.shape, dtype)
     y, (gx,) = _value_and_grads(T.gelu, [x], g)
 
-    phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    phi = T._ndtr(x)
     _assert_bitwise(y, x * phi)
     density = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
     _assert_bitwise(gx, g * (phi + x * density))
@@ -683,7 +765,7 @@ def test_kernels_promote_like_their_plain_expressions():
     # float32 GELU under a float64 gradient that flows on through mul
     _, (gx,) = _value_and_grads(lambda a: T.gelu(T.mul(a, 3.0)), [x], g)
     xs = x * np.float32(3.0)
-    phi = 0.5 * (1.0 + erf(xs / math.sqrt(2.0)))
+    phi = T._ndtr(xs)
     density = np.exp(-0.5 * xs * xs) * (1.0 / math.sqrt(2.0 * math.pi))
     _assert_bitwise(gx, (g * (phi + xs * density) * np.float32(3.0)).astype(np.float32))
 

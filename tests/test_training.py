@@ -408,6 +408,18 @@ def test_non_finite_loss_aborts_with_step_number():
         train(cfg, [sample], tiny_options(steps=2, batch_size=1))
 
 
+def test_non_finite_loss_names_the_first_task_that_went_bad(monkeypatch):
+    from mtformer import training
+    from mtformer.tensor import mul
+    real = training.per_task_loss
+    poison = {"K": float("nan"), "D": float("inf")}
+    monkeypatch.setattr(training, "per_task_loss", lambda t, pred, target: (
+        mul(real(t, pred, target), poison[t]) if t in poison else real(t, pred, target)))
+    cfg = tiny_cfg(tasks=("S", "K", "D"))
+    with pytest.raises(NumericsError, match="at step 0 in task K$"):
+        train(cfg, tiny_data(count=1), tiny_options(steps=1, batch_size=1))
+
+
 def test_budget_hash_is_unchanged_by_streaming_the_data():
     # recorded when the hash covered one joined copy of the dataset bytes
     assert budget_hash(tiny_cfg(), tiny_options(), tiny_data()) == (
