@@ -81,7 +81,7 @@ def ablate(cfg: ArchConfig, data, options: RunOptions, subsets=None,
     is set, writes them as line-delimited JSON.  Each row's ``preset`` is
     the name of the preset equal to ``cfg``, or "custom" when none is.
     """
-    samples = _load_samples(data)
+    samples = _load_samples(data, cfg.img_size)
     if subsets is None:
         subsets = [(t,) for t in cfg.tasks]
         if len(cfg.tasks) > 1:

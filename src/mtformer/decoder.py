@@ -16,8 +16,8 @@ upsample twice more and map to task channels.
 
 from __future__ import annotations
 
-from .config import (PATCH, ArchConfig, decoder_channels, task_channels,
-                     window_shift)
+from .config import (PATCH, ArchConfig, decoder_channels, stage_grids,
+                     task_channels, window_shift)
 from .errors import ConfigurationError, DimensionError
 from .layers import attention_block, attention_weights, linear, shifted_windows
 from .tensor import (Tensor, add, div, matmul, mul, reshape, sigmoid,
@@ -68,12 +68,15 @@ def decoder_stage(x: Tensor, skip: Tensor, p: dict, name: str, regular: WindowGr
     return shared_attention(x, skip, p, name, shifted)
 
 
-def decode(pyramid, cfg: ArchConfig, p: dict) -> Tensor:
+def decode(pyramid: tuple, cfg: ArchConfig, p: dict) -> Tensor:
     """Run every task decoder on ``decoder.*`` of the flat parameters ``p``
-    over skips F4, F3, F2, F1; returns the stacked token maps [K, N, C] at
-    1/4 resolution, slice k for ``cfg.tasks[k]``."""
-    skips = tuple(pyramid)[::-1]
-    sides = pyramid.sides[::-1]
+    over skips F4, F3, F2, F1 (``encode``'s stage outputs, reversed); returns
+    the stacked token maps [K, N, C] at 1/4 resolution, slice k for
+    ``cfg.tasks[k]``."""
+    if len(pyramid) != 4:
+        raise DimensionError(f"decode needs the 4 encoder stage outputs, got {len(pyramid)}")
+    skips = pyramid[::-1]
+    sides = stage_grids(cfg)[::-1]
     widths = decoder_channels(cfg)
     for i in range(4):
         if skips[i].shape != (sides[i] * sides[i], widths[i]):

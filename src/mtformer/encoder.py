@@ -8,24 +8,11 @@ the skip pyramid the decoders consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import PATCH, ArchConfig, stage_grids, window_shift
 from .errors import DimensionError
 from .layers import attention_block, linear, norm
 from .tensor import Tensor, matmul, reshape, transpose
 from .windowing import WindowGrid
-
-
-@dataclass(frozen=True)
-class FeaturePyramid:
-    """Stage outputs f1..f4, shallow to deep, each [side*side, channels]."""
-
-    features: tuple
-    sides: tuple
-
-    def __iter__(self):
-        return iter(self.features)
 
 
 def patch_embed(img: Tensor, p: dict, name: str, patch: int) -> Tensor:
@@ -65,16 +52,16 @@ def block_shift_flags(depth: int) -> list:
     return [d % 2 == 1 for d in range(depth)]
 
 
-def encode(img: Tensor, cfg: ArchConfig, p: dict) -> FeaturePyramid:
+def encode(img: Tensor, cfg: ArchConfig, p: dict) -> tuple:
     """Run the encoder on ``patch_embed.*`` and ``encoder.*`` of the flat
-    parameters ``p``."""
+    parameters ``p``; returns the stage outputs f1..f4, shallow to deep,
+    stage s shaped [side*side, channels] with side ``stage_grids(cfg)[s]``."""
     if img.shape[:2] != (cfg.img_size, cfg.img_size):
         raise DimensionError(
             f"image {img.shape[:2]} does not match configured size {cfg.img_size}")
     x = patch_embed(img, p, "patch_embed", PATCH)
-    sides = stage_grids(cfg)
     feats = []
-    for s, side in enumerate(sides):
+    for s, side in enumerate(stage_grids(cfg)):
         regular = WindowGrid(side, side, cfg.window)
         shifted = WindowGrid(side, side, cfg.window, window_shift(cfg))
         for d, shift in enumerate(block_shift_flags(cfg.stage_depths[s])):
@@ -82,4 +69,4 @@ def encode(img: Tensor, cfg: ArchConfig, p: dict) -> FeaturePyramid:
         feats.append(x)
         if s < 3:
             x = patch_merge(x, side, p, f"encoder.merge{s}")
-    return FeaturePyramid(tuple(feats), sides)
+    return tuple(feats)

@@ -27,15 +27,13 @@ from .tensor import linear as _linear
 from .windowing import (WindowGrid, cyclic_shift, cyclic_unshift, rel_pos_bias,
                         shift_mask, window_partition, window_reverse)
 
-NORM_EPS = 1e-5
-
 
 def linear(x: Tensor, p: dict, name: str) -> Tensor:
     return _linear(x, p[f"{name}.weight"], p[f"{name}.bias"])
 
 
 def norm(x: Tensor, p: dict, name: str) -> Tensor:
-    return _layer_norm(x, p[f"{name}.gamma"], p[f"{name}.beta"], NORM_EPS)
+    return _layer_norm(x, p[f"{name}.gamma"], p[f"{name}.beta"])
 
 
 def mlp(x: Tensor, p: dict, name: str) -> Tensor:

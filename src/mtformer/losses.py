@@ -20,16 +20,13 @@ EMA_BETA = 0.99
 LOG_GUARD = 1e-12
 
 
-def _as_array(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
 def per_task_loss(task: str, pred: Tensor, target) -> Tensor:
-    """Scalar loss for one task's dense prediction."""
+    """Scalar loss for one task's dense prediction against a target array:
+    integer labels for segmentation, else ``pred``'s shape."""
     if task not in TASKS:
         raise ConfigurationError(f"unknown task id {task!r}")
     if task == "S":
-        labels = _as_array(target)
+        labels = np.asarray(target)
         if labels.shape != pred.shape[:-1]:
             raise DimensionError(
                 f"labels {labels.shape} do not match prediction grid {pred.shape[:-1]}")
@@ -41,7 +38,7 @@ def per_task_loss(task: str, pred: Tensor, target) -> Tensor:
                 f"[{labels.min()}, {labels.max()}]")
         picked = gather_lastdim(pred, labels)
         return mean(neg(log(add(picked, LOG_GUARD))))
-    t = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=pred.data.dtype))
+    t = Tensor(np.asarray(target, dtype=pred.data.dtype))
     if t.shape != pred.shape:
         raise DimensionError(f"target {t.shape} does not match prediction {pred.shape}")
     return mean(abs_(sub(pred, t)))
@@ -49,9 +46,9 @@ def per_task_loss(task: str, pred: Tensor, target) -> Tensor:
 
 def update_ema(ema: dict, losses: dict) -> dict:
     """In place: ema[t] = loss on first sight, else
-    EMA_BETA*old + (1-EMA_BETA)*new."""
+    EMA_BETA*old + (1-EMA_BETA)*new, for float losses."""
     for t, v in losses.items():
-        v = float(v.data) if isinstance(v, Tensor) else float(v)
+        v = float(v)
         ema[t] = v if t not in ema else EMA_BETA * ema[t] + (1.0 - EMA_BETA) * v
     return ema
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import DataError, DimensionError, FormatError
 from .files import replace_on_success
-from .tensor import Tensor
 
 CLASS_NAMES = ("background", "sphere", "box", "cylinder", "cone",
                "torus-disc", "pyramid", "wedge")
@@ -92,8 +91,7 @@ class TaskBundle:
 def sobel_edges(gray) -> np.ndarray:
     """Gradient magnitude with the 3x3 Sobel pair, replicate-padded borders,
     scaled by the per-image max (a flat image stays all zero)."""
-    g = gray.data if isinstance(gray, Tensor) else np.asarray(gray)
-    g = g.astype(np.float64)
+    g = np.asarray(gray, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] < 3 or g.shape[1] < 3:
         raise DimensionError(f"sobel_edges needs a [H>=3, W>=3] map, got {g.shape}")
     p = np.pad(g, 1, mode="edge")
@@ -357,5 +355,15 @@ def read_dataset(path) -> list:
 
 
 def read_manifest(path) -> list:
-    with open(f"{path}.manifest") as f:
-        return [int(line) for line in f if line.strip()]
+    """The seeds in ``<path>.manifest``, one integer per non-blank line."""
+    with open(f"{path}.manifest", "rb") as f:
+        lines = f.read().splitlines()
+    seeds = []
+    for number, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode()
+            if line.strip():
+                seeds.append(int(line))
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise FormatError(f"manifest line {number} is not an integer seed: {raw!r}") from exc
+    return seeds

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DimensionError, OracleError
+from .errors import DataError, DimensionError, OracleError
 
 __all__ = [
     "Tensor", "Tape", "add", "sub", "mul", "div", "neg", "matmul", "linear",
@@ -34,6 +34,8 @@ __all__ = [
     "abs_", "sigmoid", "softmax_lastdim", "layer_norm", "gelu", "take_rows",
     "gather_lastdim", "central_difference", "grad_check", "zero_grad",
 ]
+
+NORM_EPS = 1e-5  # added to the variance in layer_norm
 
 
 class Tape:
@@ -142,10 +144,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     @property
     def dtype(self):
@@ -294,18 +292,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(a.data @ b.data, (a, b), _matmul_backward(a, b))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w + b`` as one op; ``b`` is optional and broadcasts as in ``add``.
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one op; ``b`` broadcasts as in ``add``.
 
     The bias is added in place on the product unless that would change the
     result's shape or dtype.  The gradients are exactly those of ``matmul``
     followed by ``add``.
     """
-    if b is None:
-        return matmul(x, w)
     _check_matmul(x, w)
     data = x.data @ w.data
-    b = _ensure(b, x)
     product_shape = data.shape
     out = _into(data, b.data) if _broadcasts_to(b.data.shape, product_shape) else None
     data = np.add(data, b.data, out=out)
@@ -372,15 +367,9 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _from_op(data, (a,), backward)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = 1
-        for ax in axes:
-            n *= a.data.shape[ax]
-    return mul(sum_(a, axis, keepdims), 1.0 / n)
+def mean(a: Tensor) -> Tensor:
+    """Mean over every element, a scalar."""
+    return mul(sum_(a), 1.0 / a.data.size)
 
 
 def log(a: Tensor) -> Tensor:
@@ -458,14 +447,13 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _from_op(y, (a,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (population), then scale and shift.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (population,
+    plus ``NORM_EPS``), then scale and shift.
 
     ``gamma`` and ``beta`` are [C] or carry leading axes that broadcast
     against ``x`` (a stack of per-slice parameters, such as [K, 1, C]).
     """
-    if eps < 0:
-        raise ConfigurationError(f"layer_norm eps must be >= 0, got {eps}")
     width = x.data.shape[-1]
     for p in (gamma, beta):
         if p.data.shape[-1:] != (width,) or not _broadcasts_to(p.data.shape, x.data.shape):
@@ -475,7 +463,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)  # centered until scaled by inv
     data = xhat * xhat
     inv = data.mean(axis=-1, keepdims=True)
-    inv += eps
+    inv += NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -583,17 +571,6 @@ def _outside(x: np.ndarray, z: np.ndarray, bound: float):
     return mask, x[mask].astype(np.float64, copy=False)
 
 
-def _erf_chunk(x, out, z, p, q) -> None:
-    np.multiply(x, x, out=z)
-    far = _outside(x, z, _SMALL)  # read before ``out`` is written: it may be ``x``
-    _poly(_PP, z, p)
-    p /= _poly(_QQ, z, q)
-    p *= x
-    np.add(x, p, out=out)
-    if far is not None:
-        out[far[0]] = _erf_outer(far[1])
-
-
 def _ndtr_chunk(x, out, z, p, q) -> None:
     np.multiply(x, x, out=z)
     far = _outside(x, z, 2.0 * _SMALL)
@@ -609,43 +586,27 @@ def _ndtr_chunk(x, out, z, p, q) -> None:
         out[far[0]] = phi
 
 
-def _by_chunks(chunk_kernel, x, out) -> np.ndarray:
-    """Run ``chunk_kernel(x, out, z, p, q)`` over ``_CHUNK``-element pieces.
+def _ndtr(x) -> np.ndarray:
+    """The standard normal distribution function Phi(x) = (1 + erf(x /
+    sqrt 2)) / 2, elementwise, within 2 ** -52 (float64) of the exact value.
 
     float32 is computed in float32 (the outer ranges, rarely met, in
-    float64); anything else in float64.  ``out``, when given, must have
-    ``x``'s shape, be C-contiguous in the computed dtype, and may be ``x``.
-    The first range's form runs on every element and overflows or turns
-    invalid far outside that range, where the exact form replaces it, so
+    float64); anything else in float64, ``_CHUNK`` elements at a time.  The
+    first range's form runs on every element and overflows or turns invalid
+    far outside that range, where the exact form replaces it, so
     floating-point error reporting is off inside.
     """
     x = np.asarray(x)
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
-    if out is None:
-        out = np.empty(x.shape, x.dtype)
-    elif out.shape != x.shape or out.dtype != x.dtype or not out.flags.c_contiguous:
-        raise DimensionError(f"out must be a C-contiguous {x.dtype} array of shape {x.shape}")
+    out = np.empty(x.shape, x.dtype)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     work = np.empty((3, min(flat_x.size, _CHUNK)), x.dtype)
     with np.errstate(all="ignore"):
         for i in range(0, flat_x.size, _CHUNK):
             xc = flat_x[i:i + _CHUNK]
-            chunk_kernel(xc, flat_out[i:i + _CHUNK], *work[:, :xc.size])
+            _ndtr_chunk(xc, flat_out[i:i + _CHUNK], *work[:, :xc.size])
     return out
-
-
-def _erf(x, out=None) -> np.ndarray:
-    """The error function, elementwise, within 1 ulp of the correctly
-    rounded value in float64 and float32; erf(+-inf) = +-1, erf(nan) = nan
-    and erf(-0.0) = -0.0."""
-    return _by_chunks(_erf_chunk, x, out)
-
-
-def _ndtr(x) -> np.ndarray:
-    """The standard normal distribution function Phi(x) = (1 + erf(x /
-    sqrt 2)) / 2, elementwise, within 2 ** -52 (float64) of the exact value."""
-    return _by_chunks(_ndtr_chunk, x, None)
 
 
 def gelu(a: Tensor) -> Tensor:

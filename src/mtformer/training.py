@@ -66,10 +66,19 @@ class TrainResult:
     wall_time: float
 
 
-def _load_samples(data):
-    if isinstance(data, (str,)) or hasattr(data, "__fspath__"):
-        return read_dataset(data)
-    return list(data)
+def _load_samples(data, img_size: int) -> list:
+    """The samples of a dataset path or an in-memory sample list, checked
+    to be non-empty and ``img_size`` px."""
+    if isinstance(data, str) or hasattr(data, "__fspath__"):
+        samples = read_dataset(data)
+    else:
+        samples = list(data)
+    if not samples:
+        raise DataError("dataset is empty")
+    if samples[0].size != img_size:
+        raise DimensionError(f"dataset images are {samples[0].size}px, "
+                             f"config wants {img_size}px")
+    return samples
 
 
 def config_hash(cfg: ArchConfig) -> str:
@@ -121,13 +130,8 @@ def train(cfg: ArchConfig, data, options: RunOptions,
         raise ConfigurationError(f"unknown balancing mode {options.balance!r}")
     if options.batch_size < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {options.batch_size}")
-    samples = _load_samples(data)
-    if not samples:
-        raise DataError("training dataset is empty")
+    samples = _load_samples(data, cfg.img_size)
     cfgmod.require_valid(cfg)
-    if samples[0].size != cfg.img_size:
-        raise DimensionError(f"dataset images are {samples[0].size}px, "
-                             f"config wants {cfg.img_size}px")
     model = init_params(cfg, seed=options.seed, dtype=options.numpy_dtype())
     opt = OptimState(weight_decay=options.weight_decay)
     sched = ScheduleSpec(total_steps=options.steps, peak_lr=options.peak_lr,
@@ -185,12 +189,7 @@ def train(cfg: ArchConfig, data, options: RunOptions,
 
 def evaluate(model: Model, data) -> dict:
     """Per-task mean losses over a split, tape-free and deterministic."""
-    samples = _load_samples(data)
-    if not samples:
-        raise DataError("evaluation split is empty")
-    if samples[0].size != model.cfg.img_size:
-        raise DimensionError(f"dataset images are {samples[0].size}px, "
-                             f"config wants {model.cfg.img_size}px")
+    samples = _load_samples(data, model.cfg.img_size)
     sums = {t: 0.0 for t in model.cfg.tasks}
     for s in samples:
         for t, loss in sample_losses(model, s).items():
@@ -316,8 +315,11 @@ def load_checkpoint(path):
 
 # ------------------------------------------------------- gradient checking
 
+PROBE_EPS = 1e-5  # central-difference step of check_model_gradients
+
+
 def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
-                          eps: float = 1e-5, seed: int = 0) -> dict:
+                          seed: int = 0) -> dict:
     """Compare taped gradients of the combined loss against central
     differences at ``samples_per_tensor`` random elements of every parameter,
     and of every task slice of a parameter stacked along the task axis.
@@ -355,7 +357,7 @@ def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
             flat = data.reshape(-1)  # a view: writes perturb the parameter
             for flat_idx in rng.choice(data.size, size=min(samples_per_tensor, data.size),
                                        replace=False):
-                numeric = central_difference(loss_value, flat, flat_idx, eps)
+                numeric = central_difference(loss_value, flat, flat_idx, PROBE_EPS)
                 analytic = g.reshape(-1)[flat_idx]
                 rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
                 probes += 1

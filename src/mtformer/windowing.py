@@ -41,10 +41,6 @@ class WindowGrid:
                 f"shift must satisfy 0 <= shift < window, got shift {self.shift} window {self.win}")
 
     @property
-    def windows(self) -> int:
-        return (self.h // self.win) * (self.w // self.win)
-
-    @property
     def tokens_per_window(self) -> int:
         return self.win * self.win
 
@@ -80,13 +76,6 @@ def cyclic_unshift(x: Tensor, shift: int) -> Tensor:
     return roll(x, (shift, shift), (-3, -2))
 
 
-def _partition_array(arr: np.ndarray, win: int) -> np.ndarray:
-    h, w = arr.shape
-    return (arr.reshape(h // win, win, w // win, win)
-               .transpose(0, 2, 1, 3)
-               .reshape(-1, win * win))
-
-
 @lru_cache(maxsize=None)
 def _mask_array(h: int, w: int, win: int, shift: int, dtype: np.dtype):
     # label contiguous pre-shift regions; pairs with different labels may not attend
@@ -97,7 +86,7 @@ def _mask_array(h: int, w: int, win: int, shift: int, dtype: np.dtype):
         for ws in spans:
             labels[hs, ws] = region
             region += 1
-    windowed = _partition_array(labels, win)
+    windowed = window_partition(Tensor(labels[..., None]), win).data[..., 0]  # [nW, T]
     diff = windowed[:, :, None] - windowed[:, None, :]
     mask = np.where(diff != 0, MASK_VALUE, 0.0).astype(dtype)
     mask.flags.writeable = False

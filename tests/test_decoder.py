@@ -263,10 +263,10 @@ def test_decode_rejects_malformed_pyramid():
     m = init_params(cfg, seed=9)
     img = Tensor(RNG.uniform(0, 1, (64, 64, 3)))
     pyr = encode(img, cfg, m.flat)
-    from mtformer.encoder import FeaturePyramid
-    bad = FeaturePyramid(tuple(pyr)[:3] + (Tensor(np.zeros((9, 64))),), pyr.sides)
     with pytest.raises(DimensionError):
-        decode(bad, cfg, m.flat)
+        decode(pyr[:3] + (Tensor(np.zeros((9, 64))),), cfg, m.flat)
+    with pytest.raises(DimensionError):
+        decode(pyr[:3], cfg, m.flat)
 
 
 def test_reference_projections_learn_from_every_task_loss():

@@ -93,9 +93,10 @@ def test_pyramid_shapes_and_sides():
     m = init_params(cfg, seed=3)
     img = Tensor(RNG.uniform(0, 1, (cfg.img_size, cfg.img_size, 3)))
     pyr = encode(img, cfg, m.flat)
-    assert pyr.sides == (32, 16, 8, 4)
+    sides = config.stage_grids(cfg)
+    assert type(pyr) is tuple and len(pyr) == 4 and sides == (32, 16, 8, 4)
     chans = config.stage_channels(cfg)
-    for f, side, c in zip(pyr, pyr.sides, chans):
+    for f, side, c in zip(pyr, sides, chans):
         assert f.shape == (side * side, c)
 
 

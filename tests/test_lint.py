@@ -61,3 +61,45 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def _module_private_names(tree):
+    """(name, line) of every module-level ``_x`` def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [(n.id, node.lineno) for t in nodes for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, line) for name, line in targets
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_module_private_name_is_read():
+    # a private helper nothing in the package reads is a path only tests run
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{name}:{line} {private}" for name, tree in trees.items()
+              for private, line in _module_private_names(tree) if private not in read]
+    assert not unread, f"private names nothing in src/mtformer reads: {', '.join(unread)}"
+
+
+def test_only_the_cli_prints():
+    # the CLI's stdout is its JSON records, and a benchmark's last stdout
+    # line is its result: library code reports through return values
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "print"]
+    assert not found, f"print calls outside cli.py: {', '.join(found)}"

@@ -233,6 +233,23 @@ def test_roundtrip_is_exact(tmp_path):
     assert read_manifest(path) == [9, 10, 11]
 
 
+def test_manifest_skips_blank_lines_and_reads_crlf(tmp_path):
+    (tmp_path / "d.mtds.manifest").write_bytes(b"3\r\n\n  \n-4\n 5 \n")
+    assert read_manifest(tmp_path / "d.mtds") == [3, -4, 5]
+
+
+def test_manifest_rejects_a_non_integer_line_with_its_number(tmp_path):
+    (tmp_path / "d.mtds.manifest").write_bytes(b"3\n\n4.5\n")
+    with pytest.raises(FormatError, match="line 3"):
+        read_manifest(tmp_path / "d.mtds")
+
+
+def test_manifest_rejects_bytes_that_are_not_utf8_with_their_line(tmp_path):
+    (tmp_path / "d.mtds.manifest").write_bytes(b"3\n\xff7\n")
+    with pytest.raises(FormatError, match="line 2"):
+        read_manifest(tmp_path / "d.mtds")
+
+
 def test_file_header_layout(tmp_path):
     path = tmp_path / "one.mtds"
     write_dataset(generate_dataset(1, 16, base_seed=4), path)
