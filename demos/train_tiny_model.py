@@ -8,7 +8,7 @@ that evaluation of the saved file reproduces the final training record.
 import os
 import tempfile
 
-from mtformer.config import ArchConfig
+from mtformer.config import ArchConfig, count_parameters
 from mtformer.synthetic import generate_sample
 from mtformer.training import RunOptions, evaluate, load_checkpoint, train
 
@@ -25,7 +25,7 @@ with tempfile.TemporaryDirectory() as tmp:
     ckpt = os.path.join(tmp, "tiny.mtck")
     result = train(cfg, data, options, ckpt_path=ckpt)
 
-    n_params = result.model.parameter_count()
+    n_params = count_parameters(cfg).total
     print(f"trained {options.steps} steps in {result.wall_time:.1f}s "
           f"({n_params:,} parameters)")
     for record in result.metrics[::12]:

@@ -1,13 +1,14 @@
 """Fixed-budget sweeps over task combinations and attention sharing.
 
-Every run in a sweep shares one training budget, seed policy, and dataset;
-the budget hash recorded in each row proves two rows are comparable before
-their losses are.  Single-task runs double as the baselines the relative
-columns divide by, so a size-one subset always reports relative 0 against
-itself.  Baselines are kept per sharing flag: a lone task wired through the
-sharing path reads its attention pattern off the raw encoder skip, which is
-a slightly different network than the self-contained one, and mixing the
-two would skew the comparison.
+Every run in a sweep shares one training budget, seed policy, and dataset.
+A cell changes only the ablation axes, which the budget hash leaves out, so
+every row of a sweep records one budget hash by construction.  Single-task
+runs double as the baselines the relative columns divide by, so a size-one
+subset always reports relative 0 against itself.  Baselines are kept per
+sharing flag: a lone task wired through the sharing path reads its
+attention pattern off the raw encoder skip, which is a slightly different
+network than the self-contained one, and mixing the two would skew the
+comparison.
 """
 
 from __future__ import annotations
@@ -75,17 +76,15 @@ def ablate(cfg: ArchConfig, data, options: RunOptions, subsets=None,
     """Train every (subset, sharing flag) cell under one budget.
 
     ``subsets`` defaults to the protocol the architecture claims live on:
-    each single task plus the full task set.  Single-task cells run first
-    and serve as baselines for the relative columns; the driver adds any
-    missing ones.  Returns the rows in run order and, when ``report_path``
-    is set, writes them as line-delimited JSON.  Each row's ``preset`` is
+    each single task plus the full task set.  Under each flag, the single
+    task of every task a subset holds runs first, as the baseline of the
+    relative columns.  Returns the rows in run order and, when
+    ``report_path`` is set, writes them as line-delimited JSON.  Each row's ``preset`` is
     the name of the preset equal to ``cfg``, or "custom" when none is.
     """
     samples = _load_samples(data, cfg.img_size)
     if subsets is None:
-        subsets = [(t,) for t in cfg.tasks]
-        if len(cfg.tasks) > 1:
-            subsets.append(tuple(cfg.tasks))
+        subsets = [cfg.tasks]  # the singles run anyway, as baselines
     subsets = list(dict.fromkeys(normalize_subset(s) for s in subsets))
     flags = list(dict.fromkeys(bool(f) for f in shared_flags))
     if not flags:
@@ -102,18 +101,8 @@ def ablate(cfg: ArchConfig, data, options: RunOptions, subsets=None,
             result = train(cell, samples, options)
             finals = result.metrics[-1]["losses"]
             if len(subset) == 1:
-                baselines[subset[0]] = (finals[subset[0]], result.budget_hash)
-            relative = {}
-            for t in subset:
-                if t not in baselines:
-                    raise ConfigurationError(
-                        f"no single-task baseline for {t} in this sweep")
-                single, bhash = baselines[t]
-                if bhash != result.budget_hash:
-                    raise ConfigurationError(
-                        f"budget hash mismatch between {t} baseline and "
-                        f"{'+'.join(subset)} run; rows are not comparable")
-                relative[t] = relative_performance(finals[t], single)
+                baselines[subset[0]] = finals[subset[0]]
+            relative = {t: relative_performance(finals[t], baselines[t]) for t in subset}
             rows.append(AblationReport(
                 run=f"r{len(rows):02d}-{''.join(subset)}-{'on' if shared else 'off'}",
                 preset=label,

@@ -135,9 +135,7 @@ def preset(name: str) -> ArchConfig:
                           stage_depths=(2, 2, 6, 2), encoder_heads=(6, 12, 24, 48),
                           decoder_heads=(48, 24, 12, 6), window=7)
     if name == "desk-nano":
-        return ArchConfig(img_size=128, base_channels=16,
-                          stage_depths=(1, 1, 2, 1), encoder_heads=(1, 2, 4, 8),
-                          decoder_heads=(8, 4, 2, 1), window=4)
+        return ArchConfig()  # the defaults are desk scale
     raise ConfigurationError(f"unknown preset {name!r}, valid presets: {', '.join(PRESETS)}")
 
 

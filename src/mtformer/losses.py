@@ -26,17 +26,8 @@ def per_task_loss(task: str, pred: Tensor, target) -> Tensor:
     if task not in TASKS:
         raise ConfigurationError(f"unknown task id {task!r}")
     if task == "S":
-        labels = np.asarray(target)
-        if labels.shape != pred.shape[:-1]:
-            raise DimensionError(
-                f"labels {labels.shape} do not match prediction grid {pred.shape[:-1]}")
-        labels = labels.astype(np.int64)
-        k = pred.shape[-1]
-        if labels.min() < 0 or labels.max() >= k:
-            raise DataError(
-                f"labels must lie in [0, {k}), got range "
-                f"[{labels.min()}, {labels.max()}]")
-        picked = gather_lastdim(pred, labels)
+        # gather_lastdim checks the labels' shape and range
+        picked = gather_lastdim(pred, np.asarray(target).astype(np.int64))
         return mean(neg(log(add(picked, LOG_GUARD))))
     t = Tensor(np.asarray(target, dtype=pred.data.dtype))
     if t.shape != pred.shape:

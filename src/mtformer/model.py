@@ -34,9 +34,6 @@ class Model:
         """The one dtype every parameter, and so every forward, computes in."""
         return next(iter(self.flat.values())).data.dtype
 
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.flat.values())
-
 
 def _initial(shape: tuple, init, rng: np.random.Generator | None, dtype) -> np.ndarray:
     if init != NORMAL:
@@ -79,6 +76,8 @@ def build_params(layout, num_tasks: int, rng: np.random.Generator | None, dtype)
 def init_params(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> Model:
     """Build all parameters for ``cfg``; same seed and dtype gives bitwise
     identical tensors."""
+    if seed < 0:
+        raise ConfigurationError(f"init seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return Model(cfg, *build_params(param_layout(cfg), len(cfg.tasks), rng, dtype))
 

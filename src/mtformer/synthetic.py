@@ -25,14 +25,13 @@ A sibling "<path>.manifest" lists one seed per line.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DimensionError, FormatError
-from .files import replace_on_success
+from .files import Reader, raw, replace_on_success
 
 CLASS_NAMES = ("background", "sphere", "box", "cylinder", "cone",
                "torus-disc", "pyramid", "wedge")
@@ -57,6 +56,9 @@ LUMA = (0.299, 0.587, 0.114)
 MAGIC = b"MTDS"
 VERSION = 1
 HEADER = struct.Struct("<4sIIII")
+# per sample, in file order: each field's stored dtype and its axes after [H, W]
+FIELD_LAYOUT = {"rgb": ("<f4", (3,)), "S": ("<u2", ()), "D": ("<f4", ()), "N": ("<f4", (3,)),
+                "K": ("<f4", ()), "E": ("<f4", ()), "R": ("<f4", ())}
 
 
 @dataclass
@@ -85,7 +87,7 @@ class TaskBundle:
             return getattr(self, task)[..., None]
         raise DataError(f"unknown task id {task!r}")
 
-    FIELDS = ("rgb", "S", "D", "N", "K", "E", "R")
+    FIELDS = tuple(FIELD_LAYOUT)
 
 
 def sobel_edges(gray) -> np.ndarray:
@@ -190,6 +192,8 @@ def generate_sample(seed: int, size: int) -> TaskBundle:
     """Deterministic scene for ``seed``; same seed gives a bitwise-equal bundle."""
     if size < 3:
         raise DataError(f"image size must be >= 3, got {size}")
+    if seed < 0:
+        raise DataError(f"scene seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     light = _light_from_seed(rng)
     count = int(rng.integers(3, 9))
@@ -254,6 +258,8 @@ def generate_sample(seed: int, size: int) -> TaskBundle:
 
 def scene_light(seed: int) -> np.ndarray:
     """The light direction ``generate_sample(seed, ...)`` shaded with."""
+    if seed < 0:
+        raise DataError(f"scene seed must be >= 0, got {seed}")
     return _light_from_seed(np.random.default_rng(seed))
 
 
@@ -263,21 +269,6 @@ def generate_dataset(count: int, size: int, base_seed: int = 0) -> list:
 
 
 # ------------------------------------------------------------------ storage
-
-_SAMPLE_DTYPES = {"rgb": "<f4", "S": "<u2", "D": "<f4", "N": "<f4",
-                  "K": "<f4", "E": "<f4", "R": "<f4"}
-
-
-def _field_shape(name: str, h: int, w: int):
-    return (h, w, 3) if name in ("rgb", "N") else (h, w)
-
-
-def _sample_nbytes(h: int, w: int) -> int:
-    total = 0
-    for name, dt in _SAMPLE_DTYPES.items():
-        total += int(np.prod(_field_shape(name, h, w))) * np.dtype(dt).itemsize
-    return total
-
 
 def dataset_chunks(samples):
     """Check ``samples`` now, then return an iterator over the byte stream
@@ -294,9 +285,8 @@ def dataset_chunks(samples):
     def chunks():
         yield HEADER.pack(MAGIC, VERSION, len(samples), h, w)
         for s in samples:
-            for name in TaskBundle.FIELDS:
-                arr = np.ascontiguousarray(getattr(s, name), dtype=_SAMPLE_DTYPES[name])
-                yield arr.data.cast("B")  # flat, so len() counts bytes
+            for name, (dt, _) in FIELD_LAYOUT.items():
+                yield raw(np.asarray(getattr(s, name), dt))
     return chunks()
 
 
@@ -323,34 +313,18 @@ def read_dataset(path) -> list:
     """Parse a dataset file; malformed input raises with the byte offset.
     Each field is read straight into its own array."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size < HEADER.size:
-            raise FormatError(f"header truncated: file is {size} bytes at offset 0, "
-                              f"need {HEADER.size}")
-        magic, version, count, h, w = HEADER.unpack(f.read(HEADER.size))
+        r = Reader(f, "dataset")
+        magic, version, count, h, w = r.unpack(HEADER.format)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
         if version != VERSION:
             raise FormatError(f"unsupported version {version} at offset 4")
         if h < 1 or w < 1:
             raise FormatError(f"degenerate image size {h}x{w} at offset 12")
-        expected = HEADER.size + count * _sample_nbytes(h, w)
-        if size != expected:
-            raise FormatError(f"file is {size} bytes, expected {expected}; "
-                              f"data ends at offset {min(size, expected)}")
-
-        samples = []
-        off = HEADER.size
-        for _ in range(count):
-            fields = {}
-            for name in TaskBundle.FIELDS:
-                arr = np.empty(_field_shape(name, h, w), _SAMPLE_DTYPES[name])
-                if f.readinto(arr) != arr.nbytes:  # the file shrank while being read
-                    raise FormatError(f"file ends inside {name} at offset {off}, "
-                                      f"expected {expected} bytes")
-                fields[name] = arr
-                off += arr.nbytes
-            samples.append(TaskBundle(**fields))
+        samples = [TaskBundle(**{name: r.array((h, w) + axes, dt)
+                                 for name, (dt, axes) in FIELD_LAYOUT.items()})
+                   for _ in range(count)]
+        r.end()
     return samples
 
 

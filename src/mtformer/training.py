@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import time
 from dataclasses import astuple, dataclass, fields
@@ -23,7 +22,7 @@ from . import config as cfgmod
 from .config import ArchConfig
 from .errors import (ConfigurationError, DataError, DimensionError,
                      FormatError, NumericsError)
-from .files import replace_on_success
+from .files import Reader, raw, replace_on_success
 from .losses import combine_losses, per_task_loss, task_weights, update_ema
 from .model import Model, empty_params, forward, init_params
 from .optim import OptimState, ScheduleSpec, adamw_step, lr_schedule
@@ -32,8 +31,7 @@ from .tensor import Tape, Tensor, central_difference, mul, zero_grad
 
 CKPT_MAGIC = b"MTCK"
 CKPT_VERSION = 3  # 3: no patch size, shift, class count or Adam betas/eps stored
-_DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
-_CODE_DTYPES = {0: np.float64, 1: np.float32}
+_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))  # indexed by the stored code
 
 
 @dataclass
@@ -131,7 +129,6 @@ def train(cfg: ArchConfig, data, options: RunOptions,
     if options.batch_size < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {options.batch_size}")
     samples = _load_samples(data, cfg.img_size)
-    cfgmod.require_valid(cfg)
     model = init_params(cfg, seed=options.seed, dtype=options.numpy_dtype())
     opt = OptimState(weight_decay=options.weight_decay)
     sched = ScheduleSpec(total_steps=options.steps, peak_lr=options.peak_lr,
@@ -199,15 +196,9 @@ def evaluate(model: Model, data) -> dict:
 
 # -------------------------------------------------------------- checkpoints
 
-def _raw(a) -> memoryview:
-    """``a``'s own bytes in C order, flat so len() counts bytes; copies
-    only an array that is not C-contiguous."""
-    return np.ascontiguousarray(a).data.cast("B")
-
-
 def save_checkpoint(path, model: Model, opt: OptimState | None,
                     step: int, budget: str = "") -> None:
-    code = _DTYPE_CODES[model.dtype]
+    code = _DTYPES.index(model.dtype)
     cfg_text = cfgmod.to_text(model.cfg).encode()
     budget_b = budget.encode()
     with replace_on_success(path) as f:
@@ -221,7 +212,7 @@ def save_checkpoint(path, model: Model, opt: OptimState | None,
             f.write(struct.pack("<H", len(nb)) + nb)
             f.write(struct.pack("<B", p.data.ndim))
             f.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            f.write(_raw(p.data))
+            f.write(raw(p.data))
         if opt is None:
             f.write(struct.pack("<B", 0))
         else:
@@ -229,55 +220,21 @@ def save_checkpoint(path, model: Model, opt: OptimState | None,
             for name, p in model.flat.items():
                 for moments in (opt.m, opt.v):
                     # a moment not made yet is stored as zeros
-                    f.write(_raw(moments[name]) if name in moments else bytes(p.data.nbytes))
-
-
-class _Reader:
-    """Reads a checkpoint front to back.  Each field is checked against the
-    file size before it is read, and a tensor is read straight into its
-    array."""
-
-    def __init__(self, f):
-        self.f = f
-        self.size = os.fstat(f.fileno()).st_size
-        self.off = 0
-
-    def take(self, n: int, into=None):
-        """The next ``n`` bytes, read into ``into`` (an array of ``n``
-        bytes) or into a new bytearray; the size is checked first, so a
-        corrupt length allocates nothing."""
-        if self.off + n > self.size:
-            raise FormatError(f"checkpoint truncated at offset {self.off}, "
-                              f"needed {n} more bytes")
-        out = bytearray(n) if into is None else into
-        if self.f.readinto(out) != n:
-            raise FormatError(f"checkpoint shrank while being read, at offset {self.off}")
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int) -> str:
-        raw = self.take(n)
-        try:
-            return raw.decode()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"undecodable text at offset {self.off - n + exc.start}") from exc
+                    f.write(raw(moments[name]) if name in moments else bytes(p.data.nbytes))
 
 
 def load_checkpoint(path):
     """Returns (model, optimizer state or None, step, budget hash)."""
     with open(path, "rb") as f:
-        r = _Reader(f)
+        r = Reader(f, "checkpoint")
         if r.take(4) != CKPT_MAGIC:
             raise FormatError(f"bad checkpoint magic at offset 0 in {path}")
         version, code, step = r.unpack("<IIQ")
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version} at offset 4")
-        if code not in _CODE_DTYPES:
+        if code >= len(_DTYPES):
             raise FormatError(f"unknown dtype code {code} at offset 8")
-        dt = _CODE_DTYPES[code]
+        dt = _DTYPES[code]
         (cfg_len,) = r.unpack("<I")
         cfg = cfgmod.from_text(r.text(cfg_len))
         (budget_len,) = r.unpack("<I")
@@ -306,10 +263,9 @@ def load_checkpoint(path):
             wd, ostep = r.unpack("<dQ")
             opt = OptimState(weight_decay=wd, step=ostep)
             for name, p in model.flat.items():
-                opt.m[name] = r.take(p.data.nbytes, np.empty_like(p.data))
-                opt.v[name] = r.take(p.data.nbytes, np.empty_like(p.data))
-        if r.off != r.size:
-            raise FormatError(f"{r.size - r.off} trailing bytes at offset {r.off}")
+                opt.m[name] = r.array(p.data.shape, dt)
+                opt.v[name] = r.array(p.data.shape, dt)
+        r.end()
     return model, opt, step, budget
 
 
@@ -333,6 +289,8 @@ def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
     if samples_per_tensor < 1:
         raise ConfigurationError(
             f"samples per tensor must be >= 1, got {samples_per_tensor}")
+    if seed < 0:
+        raise ConfigurationError(f"probe seed must be >= 0, got {seed}")
 
     def loss_value() -> float:
         return float(combine_losses(sample_losses(model, sample)).data)

@@ -189,6 +189,29 @@ def test_grad_check_rejects_fewer_than_one_probe_per_tensor(capsys, tiny_config_
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["gen-data", "--seed", "-1", "--count", "1", "--size", "32"],
+    ["grad-check", "--preset", "desk-nano", "--data-seed", "-1"],
+    ["grad-check", "--preset", "desk-nano", "--seed", "-1"],
+    ["train", "--seed", "-1", "--steps", "1", "--batch", "1"],
+    ["ablate", "--seed", "-1", "--steps", "1", "--batch", "1", "--subsets", "s"],
+], ids=["gen-data", "grad-check-data-seed", "grad-check-seed", "train", "ablate"])
+def test_negative_seeds_are_rejected_with_exit_2(tmp_path, capsys, tiny_config_path,
+                                                 tiny_dataset_path, command):
+    # numpy refuses a negative seed with a bare ValueError; each command
+    # reports it as a typed error instead
+    extra = {"gen-data": ["--out", str(tmp_path / "neg.mtds")],
+             "train": ["--config", tiny_config_path, "--data", tiny_dataset_path,
+                       "--out", str(tmp_path / "neg.mtck")],
+             "ablate": ["--config", tiny_config_path, "--data", tiny_dataset_path]}
+    code = main(command + extra.get(command[0], []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "seed must be >= 0" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "neg.mtds").exists() and not (tmp_path / "neg.mtck").exists()
+
+
 def test_params_matches_library_accounting(capsys, tiny_config_path):
     code, recs = run_cli(capsys, ["params", "--config", tiny_config_path])
     assert code == 0

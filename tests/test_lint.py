@@ -103,3 +103,38 @@ def test_only_the_cli_prints():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "print"]
     assert not found, f"print calls outside cli.py: {', '.join(found)}"
+
+
+def _raw_file_access(node):
+    """What ``node`` does that only files.py may do, or None: measure a
+    file, read into a buffer, view an array's raw bytes, or open a file to
+    write (``open(path, mode)`` or ``Path.open(mode)``)."""
+    if not isinstance(node, ast.Call):
+        return None
+    func, args = node.func, node.args
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("fstat", "readinto"):
+        return f"{name}()"
+    if name == "cast" and args and isinstance(args[0], ast.Constant) and args[0].value == "B":
+        return 'cast("B")'
+    if name == "open":
+        at = 1 if isinstance(func, ast.Name) else 0
+        mode = args[at] if len(args) > at else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        if mode is None:
+            return None
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return "open() with a computed mode"
+        if set(mode.value) & set("wax+"):
+            return f"open() for writing ({mode.value!r})"
+    return None
+
+
+def test_only_files_reads_and_writes_raw_bytes():
+    # files.py holds the one size-checked reader and the one atomic writer;
+    # a second hand-written reader would restate its checks and drift
+    found = [f"{path.name}:{node.lineno} {what}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "files.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if (what := _raw_file_access(node))]
+    assert not found, f"raw file access outside files.py: {', '.join(found)}"

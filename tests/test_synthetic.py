@@ -1,6 +1,7 @@
 """Scene generator consistency, the Sobel oracle, and file round-trips."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,48 @@ def test_format_errors_identify_offset(tmp_path):
     stub.write_bytes(b"MTDS\x01")
     with pytest.raises(FormatError, match="offset 0"):
         read_dataset(stub)
+
+
+@pytest.mark.parametrize("count,h,w", [(2, 2 ** 31, 2 ** 31), (2 ** 32 - 1, 16, 16)],
+                         ids=["huge-image", "huge-count"])
+def test_reader_checks_the_size_before_it_allocates(tmp_path, count, h, w):
+    # a header may claim any image size or count; the reader allocates a
+    # field only once the file is known to hold it
+    path = tmp_path / "huge.mtds"
+    write_dataset(generate_dataset(2, 16, base_seed=1), path)
+    blob = path.read_bytes()
+    path.write_bytes(HEADER.pack(b"MTDS", 1, count, h, w) + blob[HEADER.size:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            read_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dataset_size_errors_name_offset_and_bytes(tmp_path):
+    path = tmp_path / "sized.mtds"
+    write_dataset(generate_dataset(1, 16, base_seed=1), path)
+    blob = path.read_bytes()
+    rgb = 16 * 16 * 3 * 4
+    path.write_bytes(blob[:HEADER.size + rgb + 5])
+    with pytest.raises(FormatError) as err:
+        read_dataset(path)
+    assert str(err.value) == (f"dataset truncated at offset {HEADER.size + rgb}, "
+                              f"needed {16 * 16 * 2} more bytes")
+    path.write_bytes(blob + b"\x00\x01")
+    with pytest.raises(FormatError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"2 trailing bytes at offset {len(blob)}"
+
+
+def test_negative_scene_seeds_are_data_errors():
+    with pytest.raises(DataError, match="seed must be >= 0"):
+        generate_sample(-1, 16)
+    with pytest.raises(DataError, match="seed must be >= 0"):
+        scene_light(-1)
 
 
 def test_write_rejects_bad_inputs(tmp_path):

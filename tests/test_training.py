@@ -574,3 +574,18 @@ def test_check_model_gradients_on_tiny_model():
     assert report["worst_tensor"] in slices
     # probing must not leave stale gradients behind
     assert all(p.grad is None for p in model.flat.values())
+
+
+def test_negative_init_and_probe_seeds_are_configuration_errors(monkeypatch):
+    from mtformer import training
+    from mtformer.model import init_params
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        init_params(tiny_cfg(), seed=-1)
+    model = init_params(tiny_cfg(), seed=0)
+
+    def no_forward(*args):
+        raise AssertionError("a forward ran before the seed was checked")
+
+    monkeypatch.setattr(training, "forward", no_forward)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        check_model_gradients(model, generate_sample(0, 32), seed=-1)

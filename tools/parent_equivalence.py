@@ -14,6 +14,8 @@ computes, on the desk-nano preset with seed 0 and BLAS pinned to one thread:
   keeping the trained parameters and both AdamW moments;
 * the ``generate_dataset`` bundles for seeds 0-3 at 32 and 128 px, every
   field of every scene;
+* the bytes of the ``write_dataset`` file of those bundles and of its seed
+  manifest, and every field ``read_dataset`` returns from that file;
 * the bytes of the ``save_checkpoint`` file of that trained model with its
   optimizer state, and every parameter and moment ``load_checkpoint``
   returns from that file;
@@ -65,7 +67,8 @@ def _worker(out_path: str) -> None:
     from mtformer import config, training
     from mtformer.losses import per_task_loss
     from mtformer.model import empty_params, forward, init_params
-    from mtformer.synthetic import generate_dataset, generate_sample
+    from mtformer.synthetic import (generate_dataset, generate_sample,
+                                    read_dataset, write_dataset)
     from mtformer.tensor import Tape, Tensor, add, mul
 
     arrays = {}
@@ -99,9 +102,20 @@ def _worker(out_path: str) -> None:
         arrays[f"train second moments/{name}"] = result.optim.v[name]
 
     for size in SCENE_SIZES:
-        for i, bundle in enumerate(generate_dataset(SCENES, size, base_seed=0)):
+        bundles = generate_dataset(SCENES, size, base_seed=0)
+        for i, bundle in enumerate(bundles):
             for field in bundle.FIELDS:
                 arrays[f"scenes/{size}px seed {i} {field}"] = getattr(bundle, field)
+        data = f"{out_path}.mtds"
+        write_dataset(bundles, data, seeds=range(SCENES))
+        for suffix, label in (("", "bytes"), (".manifest", "manifest")):
+            with open(data + suffix, "rb") as f:
+                arrays[f"dataset file/{size}px {label}"] = np.frombuffer(f.read(), np.uint8)
+        for i, bundle in enumerate(read_dataset(data)):
+            for field in bundle.FIELDS:
+                arrays[f"dataset file/{size}px read seed {i} {field}"] = getattr(bundle, field)
+        os.remove(data)
+        os.remove(f"{data}.manifest")
 
     ckpt = f"{out_path}.mtck"
     training.save_checkpoint(ckpt, result.model, result.optim, TRAIN_STEPS, result.budget_hash)
