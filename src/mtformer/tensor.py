@@ -172,14 +172,46 @@ def _from_op(data, parents, backward) -> Tensor:
     return out
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, keepdims: one matrix-vector product
+    ``x.reshape(-1, n) @ ones(n)``.  numpy's reduction pays a loop per row,
+    which costs more than the adds on rows as short as attention's 16
+    tokens or a decoder stage's 16 channels; BLAS adds in its own order."""
+    n = x.shape[-1]
+    rows = x.reshape(math.prod(x.shape[:-1]), n) @ np.ones(n, x.dtype)
+    return rows.reshape(*x.shape[:-1], 1)
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, keepdims: :func:`_row_sum` over the width."""
+    m = _row_sum(x)
+    m /= x.shape[-1]
+    return m
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting).
+
+    When the summed axes are one run of axes of a C-contiguous ``g`` (the
+    tokens under a bias, a layer norm's scale and shift or a stacked
+    parameter) the sum is a product with ones, ``ones(1, n) @ g`` per
+    leading slice, or :func:`_row_sum` when the run ends ``g``; otherwise
+    numpy sums the leading axes, then the size-1 axes."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
+    summed = [i for i, n in enumerate(g.shape)
+              if i < extra or (shape[i - extra] == 1 and n != 1)]
+    lo, hi = summed[0], summed[-1] + 1
+    if hi - lo == len(summed) and g.flags.c_contiguous:
+        lead, n, rest = (math.prod(g.shape[:lo]), math.prod(g.shape[lo:hi]),
+                         math.prod(g.shape[hi:]))
+        if rest == 1:
+            return _row_sum(g.reshape(lead, n)).reshape(shape)
+        return (np.ones((1, n), g.dtype) @ g.reshape(lead, n, rest)).reshape(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    axes = tuple(i - extra for i in summed if i >= extra)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
@@ -355,7 +387,12 @@ def roll(a: Tensor, shift, axis) -> Tensor:
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    if axis in (-1, a.data.ndim - 1):  # the last axis: one matrix-vector product
+        data = _row_sum(a.data)
+        if not keepdims:
+            data = data.reshape(a.data.shape[:-1])
+    else:
+        data = a.data.sum(axis=axis, keepdims=keepdims)
     a_shape = a.data.shape
 
     def backward(g):
@@ -416,17 +453,15 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
-    """Exact max over the last axis, keepdims: pairwise ``np.maximum`` that
-    halves the axis on each pass, folding an odd last column into column 0.
-    Much faster than ``x.max(axis=-1)`` on the short rows of window attention."""
-    n = x.shape[-1]
-    while n > 1:
-        half = n // 2
-        m = np.maximum(x[..., :half], x[..., half:2 * half])
-        if n % 2:
-            np.maximum(m[..., :1], x[..., n - 1:], out=m[..., :1])
-        x, n = m, half
-    return x
+    """Exact max over the last axis, keepdims: one ``np.maximum`` per column,
+    each over every row at once.  ``x.max(axis=-1)`` pays a loop per row,
+    slow on the short rows of window attention; the column passes cost one
+    call per column, so this suits short rows only.  A max does not round,
+    so the result is bitwise ``x.max(axis=-1, keepdims=True)``."""
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    return m
 
 
 def softmax_lastdim(a: Tensor) -> Tensor:
@@ -435,11 +470,11 @@ def softmax_lastdim(a: Tensor) -> Tensor:
         raise DimensionError(f"softmax needs a non-empty last axis, got shape {a.shape}")
     y = a.data - _row_max(a.data)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= _row_sum(y)
 
     def backward(g):
         gx = g * y
-        dot = gx.sum(axis=-1, keepdims=True)
+        dot = _row_sum(gx)
         np.subtract(g, dot, out=gx)
         gx *= y
         return (gx,)
@@ -460,9 +495,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             raise DimensionError(
                 f"layer_norm gamma/beta shapes {gamma.shape}/{beta.shape} do not "
                 f"match last axis {width} of {x.shape}")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)  # centered until scaled by inv
+    xhat = x.data - _row_mean(x.data)  # centered until scaled by inv
     data = xhat * xhat
-    inv = data.mean(axis=-1, keepdims=True)
+    inv = _row_mean(data)
     inv += NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -483,8 +518,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         if gamma_data is not None:
             gx = g * gamma_data  # d loss / d xhat
             t = gx * xhat
-            m2 = t.mean(axis=-1, keepdims=True)
-            gx -= gx.mean(axis=-1, keepdims=True)
+            m2 = _row_mean(t)
+            gx -= _row_mean(gx)
             np.multiply(xhat, m2, out=t)
             gx -= t  # g is at least as wide as x, so gx already has the widest dtype
             gx *= inv
@@ -686,12 +721,18 @@ def central_difference(f, arr: np.ndarray, idx, eps: float) -> float:
     return (hi - lo) / (2.0 * eps)
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
-    """Compare the taped gradient of scalar ``f(x)`` against central differences.
+def grad_check(f, x: Tensor) -> float:
+    """Compare the taped gradient of scalar ``f(x)`` against finite differences.
 
-    Returns the max over elements of |analytic - numeric| / max(|analytic|,
-    |numeric|, 1e-8).  Exhaustive over every element of ``x``, so keep the
-    probe small.
+    Each numeric derivative is the Richardson extrapolation ``(4 D(h) -
+    D(2h)) / 3`` of two central differences ``D`` at ``h = 1e-3``.  It
+    cancels their ``h^2`` error term and leaves an ``h^4`` one, so the step
+    can be large enough that the rounding of ``f`` (about 1e-16 / h of its
+    magnitude) stays far below the gradient even where an entry is many
+    orders smaller than its tensor's largest.  Returns the max over elements
+    of |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).  Exhaustive
+    over every element of ``x`` at four evaluations of ``f`` each, so keep
+    the probe small and ``f`` smooth within 2e-3 of the probe point.
     """
     if not isinstance(x, Tensor) or not x.requires_grad:
         raise OracleError("grad_check probe must be a Tensor with requires_grad=True")
@@ -708,8 +749,15 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
         raise OracleError("f(x) does not depend on the probe tensor")
     analytic = x.grad.copy()
     numeric = np.zeros_like(analytic)
+    h = 1e-3
+
+    def value() -> float:
+        return float(f(x).data)
+
     for idx in np.ndindex(x.data.shape):
-        numeric[idx] = central_difference(lambda: float(f(x).data), x.data, idx, eps)
+        near = central_difference(value, x.data, idx, h)
+        far = central_difference(value, x.data, idx, 2.0 * h)
+        numeric[idx] = (4.0 * near - far) / 3.0
     if not np.isfinite(numeric).all():
         raise OracleError("central differences produced non-finite values")
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

@@ -126,6 +126,8 @@ def train(cfg: ArchConfig, data, options: RunOptions,
     """
     if options.balance not in ("static", "inverse-ema"):
         raise ConfigurationError(f"unknown balancing mode {options.balance!r}")
+    if options.steps < 0:
+        raise ConfigurationError(f"steps must be >= 0, got {options.steps}")
     if options.batch_size < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {options.batch_size}")
     samples = _load_samples(data, cfg.img_size)

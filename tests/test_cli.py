@@ -80,6 +80,18 @@ def test_train_rejects_batch_below_one(capsys, tmp_path, tiny_config_path,
     assert not ckpt.exists()
 
 
+def test_train_rejects_negative_steps(capsys, tmp_path, tiny_config_path, tiny_dataset_path):
+    # the message names the steps, not the warmup the schedule derives from them
+    ckpt = tmp_path / "x.mtck"
+    code = main(["train", "--config", tiny_config_path, "--data", tiny_dataset_path,
+                 "--steps", "-1", "--batch", "1", "--out", str(ckpt)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "steps must be >= 0, got -1" in captured.err
+    assert "warmup" not in captured.err
+    assert captured.out == "" and not ckpt.exists()
+
+
 def test_eval_reports_missing_file(capsys, tiny_dataset_path):
     code = main(["eval", "--ckpt", "/nonexistent.mtck", "--data", tiny_dataset_path])
     assert code == 2

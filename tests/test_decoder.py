@@ -85,7 +85,7 @@ def test_patch_expand_gradients():
     def loss(x):
         return mean(mul(patch_expand(x, 2, Tensor(w0)), Tensor(coef)))
 
-    assert grad_check(loss, Tensor(x0.copy(), requires_grad=True), eps=1e-6) < 1e-6
+    assert grad_check(loss, Tensor(x0.copy(), requires_grad=True)) < 1e-6
 
 
 # ------------------------------------------------------- shared attention op
@@ -239,12 +239,10 @@ def test_shared_attention_op_gradient_check():
         ys = shared_attention(Tensor(xs0), x_sa, p, "st", grid)
         return mean(mul(ys, Tensor(coef)))
 
-    assert grad_check(loss_from_sa, Tensor(sa0.copy(), requires_grad=True),
-                      eps=1e-6) < 1e-5
+    assert grad_check(loss_from_sa, Tensor(sa0.copy(), requires_grad=True)) < 1e-5
     for name in ("st.shared.q.weight", "st.shared.bias_table", "st.b2.v.weight",
                  "st.b2.out.bias", "st.b2.ln1.gamma"):
-        assert grad_check(lambda _: loss_from_sa(Tensor(sa0)), p[name],
-                          eps=1e-6) < 1e-5
+        assert grad_check(lambda _: loss_from_sa(Tensor(sa0)), p[name]) < 1e-5
 
 
 # ------------------------------------------------------------- full decoder

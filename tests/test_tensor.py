@@ -192,7 +192,7 @@ def test_grad_check_quadratic_is_tight():
     # central differences are exact on quadratics up to roundoff
     rng = np.random.default_rng(2)
     x = _rand(rng, 4, 3)
-    err = T.grad_check(lambda t: T.sum_(T.mul(t, t)), x, eps=1e-5)
+    err = T.grad_check(lambda t: T.sum_(T.mul(t, t)), x)
     assert err < 1e-9
 
 
@@ -208,7 +208,7 @@ def test_grad_check_flags_doubled_gradient():
 
     rng = np.random.default_rng(3)
     x = _rand(rng, 5, lo=0.5, hi=1.5)
-    err = T.grad_check(broken_square_sum, x, eps=1e-5)
+    err = T.grad_check(broken_square_sum, x)
     assert err == pytest.approx(0.5, abs=1e-3)
 
 
@@ -280,7 +280,7 @@ def _probe_cases():
 def test_per_op_gradients_match_central_differences(name, fn, shape):
     rng = np.random.default_rng(hash(name) % (2 ** 32))
     x = _rand(rng, *shape)
-    assert T.grad_check(fn, x, eps=1e-5) < 1e-4
+    assert T.grad_check(fn, x) < 1e-4
 
 
 def test_layer_norm_gamma_beta_gradients():
@@ -637,7 +637,10 @@ def test_integer_input_promotes_to_float64():
 # ------------------------------------------- kernels against their plain form
 # Each kernel must compute bitwise what its plain numpy expression computes,
 # forward and backward; the oracles below are those expressions, written
-# out without in-place updates or reused buffers.
+# out without in-place updates or reused buffers.  A sum or mean over the
+# last axis is one matrix-vector product with ones (_rows), and a sum over
+# the tokens under a bias or layer-norm scale one product with a row of
+# ones (_tokens), as the kernels compute them.
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 DTYPES = st.sampled_from([np.float64, np.float32])
@@ -649,15 +652,26 @@ def _assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes(), np.abs(got - want).max()
 
 
-def _sum_to(g, shape):
-    """Sum ``g`` down to ``shape``: leading axes first, then size-1 axes."""
+def _rows(x):
+    """Sum over the last axis, keepdims: ``x.reshape(-1, n) @ ones(n)``."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ np.ones(n, x.dtype)).reshape(*x.shape[:-1], 1)
+
+
+def _tokens(g, shape):
+    """Sum a contiguous ``g`` down to ``shape``.  The summed axes are one run
+    of n terms: every leading axis ``shape`` lacks, or the token axis of a
+    stacked [k, n, c] under a [k, 1, c] parameter.  They sum as ``ones(1, n)
+    @ g`` per slice before the run, or as ``_rows`` when nothing follows it."""
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
+    if g.ndim == len(shape):
+        k, n, c = g.shape
+    else:
+        k, n, c = 1, math.prod(g.shape[:g.ndim - len(shape)]), math.prod(shape)
+    g = g.reshape(k, n, c)
+    out = _rows(g[..., 0]) if c == 1 else np.ones((1, n), g.dtype) @ g
+    return out.reshape(shape)
 
 
 def _value_and_grads(fn, inputs, upstream):
@@ -686,9 +700,9 @@ def test_softmax_matches_plain_expression(lead, n, masked, dtype, seed):
     y, (gx,) = _value_and_grads(T.softmax_lastdim, [x], g)
 
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    want = e / e.sum(axis=-1, keepdims=True)
+    want = e / _rows(e)
     _assert_bitwise(y, want)
-    _assert_bitwise(gx, (g - (g * want).sum(axis=-1, keepdims=True)) * want)
+    _assert_bitwise(gx, (g - _rows(g * want)) * want)
 
 
 @PROPERTY
@@ -703,18 +717,18 @@ def test_layer_norm_matches_plain_expression(k, n, c, stacked, dtype, seed):
     eps = T.NORM_EPS
     y, (gx, ggamma, gbeta) = _value_and_grads(T.layer_norm, [x, gamma, beta], g)
 
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _rows(x) / c
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _rows(centered * centered) / c
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     _assert_bitwise(y, xhat * gamma + beta)
     dxhat = g * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = _rows(dxhat) / c
+    m2 = _rows(dxhat * xhat) / c
     _assert_bitwise(gx, inv * (dxhat - m1 - xhat * m2))
-    _assert_bitwise(ggamma, _sum_to(g * xhat, pshape))
-    _assert_bitwise(gbeta, _sum_to(g, pshape))
+    _assert_bitwise(ggamma, _tokens(g * xhat, pshape))
+    _assert_bitwise(gbeta, _tokens(g, pshape))
 
 
 @PROPERTY
@@ -733,10 +747,10 @@ def test_linear_matches_matmul_then_add(k, n, c_in, c_out, stacked_w, bias, dtyp
     y, grads = _value_and_grads(T.linear, [x, w, b], g)
 
     _assert_bitwise(y, want)
-    gp = _sum_to(g, product.shape)
-    _assert_bitwise(grads[0], _sum_to(gp @ w.swapaxes(-1, -2), x.shape))
-    _assert_bitwise(grads[1], _sum_to(x.swapaxes(-1, -2) @ gp, w.shape))
-    _assert_bitwise(grads[2], _sum_to(g, b.shape))
+    gp = _tokens(g, product.shape)
+    _assert_bitwise(grads[0], _tokens(gp @ w.swapaxes(-1, -2), x.shape))
+    _assert_bitwise(grads[1], _tokens(x.swapaxes(-1, -2) @ gp, w.shape))
+    _assert_bitwise(grads[2], _tokens(g, b.shape))
 
 
 @PROPERTY
@@ -769,8 +783,8 @@ def test_kernels_promote_like_their_plain_expressions():
     # float32 input, float64 scale and shift
     gamma, beta = rng.normal(size=7), rng.normal(size=7)
     y = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
-    centered = x - x.mean(axis=-1, keepdims=True)
-    xhat = centered * (1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5))
+    centered = x - _rows(x) / 7
+    xhat = centered * (1.0 / np.sqrt(_rows(centered * centered) / 7 + 1e-5))
     _assert_bitwise(y, xhat * gamma + beta)
 
     # float32 product, float64 bias
@@ -786,6 +800,67 @@ def test_take_rows_single_row_gradient_matches_scatter_add():
     want = np.zeros((3, 2, 2))
     np.add.at(want, np.int64(1), g)
     _assert_bitwise(gt, want)
+
+
+# ------------------------------------------------- short-row reductions
+# the helpers the kernels reduce with: the row max is exact, so bitwise
+# numpy's; the sums add in BLAS's order, so they are held to the classic
+# bound of any summation order, n eps sum|x| over n terms
+
+@st.composite
+def _rows_of(draw):
+    """A float32 or float64 array of 0-3 leading axes and a last axis of
+    1-600, contiguous or a strided view of a wider one."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    n = draw(st.integers(1, 600))
+    dtype = draw(DTYPES)
+    strided = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x = (rng.normal(size=lead + (2 * n if strided else n,)) * 4.0).astype(dtype)
+    return x[..., ::2] if strided else x
+
+
+@PROPERTY
+@given(_rows_of(), st.integers(0, 2 ** 16))
+def test_row_max_is_numpy_max_bitwise(x, seed):
+    rng = np.random.default_rng(seed)
+    for value in (-1e9, np.inf, -np.inf, np.nan):  # masked logits, overflow, NaN
+        x[rng.uniform(size=x.shape) < 0.1] = value
+    _assert_bitwise(T._row_max(x), x.max(axis=-1, keepdims=True))
+
+
+def _within_summation_bound(got, terms, axis):
+    """``got`` is within n eps sum|x| of the sum of ``terms`` over ``axis``."""
+    n = math.prod(terms.shape[a] for a in axis)
+    wide = terms.astype(np.float64)
+    exact = wide.sum(axis=axis, keepdims=True)
+    bound = n * np.finfo(terms.dtype).eps * np.abs(wide).sum(axis=axis, keepdims=True)
+    assert got.dtype == terms.dtype and got.size == exact.size, (got.shape, exact.shape)
+    assert np.all(np.abs(got.reshape(exact.shape) - exact) <= bound)
+
+
+@PROPERTY
+@given(_rows_of())
+def test_row_sums_are_within_the_summation_bound(x):
+    last = (x.ndim - 1,)
+    _within_summation_bound(T._row_sum(x), x, last)
+    _within_summation_bound(T._row_mean(x) * x.dtype.type(x.shape[-1]), x, last)
+
+
+@PROPERTY
+@given(_rows_of(), st.booleans())
+def test_token_sums_are_within_the_summation_bound(g, stacked):
+    # a [c] bias or scale sums every leading axis, a stacked [k, 1, c] one
+    # the token axis, a [1] one the only axis
+    if g.ndim == 1:
+        shape, axis = (1,), (0,)
+    elif stacked and g.ndim == 3:
+        shape, axis = (g.shape[0], 1, g.shape[2]), (1,)
+    else:
+        shape, axis = g.shape[-1:], tuple(range(g.ndim - 1))
+    got = T._unbroadcast(g, shape)
+    assert got.shape == shape
+    _within_summation_bound(got, g, axis)
 
 
 # ------------------------------------------------- broadcasting gradients

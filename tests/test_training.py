@@ -589,3 +589,12 @@ def test_negative_init_and_probe_seeds_are_configuration_errors(monkeypatch):
     monkeypatch.setattr(training, "forward", no_forward)
     with pytest.raises(ConfigurationError, match="seed must be >= 0"):
         check_model_gradients(model, generate_sample(0, 32), seed=-1)
+
+
+def test_negative_steps_are_a_configuration_error_naming_the_steps():
+    # the default warmup (200) is clipped to the steps; a negative count must
+    # be reported as such, before any sample is loaded
+    with pytest.raises(ConfigurationError, match=r"steps must be >= 0, got -1$"):
+        train(tiny_cfg(), "/nonexistent.mtds", RunOptions(steps=-1))
+    result = train(tiny_cfg(), tiny_data(2), tiny_options(steps=0))
+    assert [m for m in result.metrics if "final_eval" in m][0]["step"] == 0

@@ -293,4 +293,4 @@ def test_shifted_attention_pipeline_gradient():
         return T.sum_(T.mul(out, w))
 
     x = Tensor(rng.normal(size=(4, 4, 4)), requires_grad=True)
-    assert T.grad_check(f, x, eps=1e-5) < 1e-4
+    assert T.grad_check(f, x) < 1e-4

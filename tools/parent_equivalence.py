@@ -27,8 +27,10 @@ computes, on the desk-nano preset with seed 0 and BLAS pinned to one thread:
   with shared attention on and off.
 
 It prints, per group, how many tensors are bitwise equal and the largest
-relative difference max|a - b| / max|a| over the group, then one line per
-tensor that is not bitwise equal.  Exit status 0 means every tensor is
+difference max|a - b| over the group's tensors, relative to the largest
+magnitude max|a| of any tensor in the group under ``<rev>``, naming the
+tensor where it occurs; then one line per tensor that is not bitwise
+equal, relative to the same scale.  Exit status 0 means every tensor is
 bitwise equal (same dtype, shape and bytes).
 """
 
@@ -153,12 +155,11 @@ def _run_worker(src: Path, out: Path) -> dict:
         return {k: f[k] for k in f.files}
 
 
-def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+def _abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| in float64; inf when the shapes differ."""
     if a.shape != b.shape:
         return float("inf")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    diff = float(np.abs(a.astype(np.float64) - b.astype(np.float64)).max()) if a.size else 0.0
-    return diff / scale if scale else diff
+    return float(np.abs(a.astype(np.float64) - b.astype(np.float64)).max()) if a.size else 0.0
 
 
 def compare(parent: dict, change: dict) -> bool:
@@ -167,22 +168,31 @@ def compare(parent: dict, change: dict) -> bool:
         groups.setdefault(key.split("/", 1)[0], []).append(key)
     all_equal = True
     for group, keys in groups.items():
-        equal, worst, lines = 0, 0.0, []
+        # one scale per group: a tensor that is only rounding noise, such as
+        # an exactly zero key-bias gradient, is then measured against the
+        # group's real magnitudes instead of against its own noise
+        scale = max((float(np.abs(parent[k].astype(np.float64)).max())
+                     for k in keys if k in parent and parent[k].size), default=0.0)
+        equal, worst, worst_key, lines = 0, 0.0, None, []
         for key in keys:
+            name = key.split("/", 1)[1]
             if key not in parent or key not in change:
-                lines.append(f"    {key.split('/', 1)[1]}: only in "
+                lines.append(f"    {name}: only in "
                              f"{'the parent' if key in parent else 'this checkout'}")
                 continue
             a, b = parent[key], change[key]
             if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
                 equal += 1
                 continue
-            rel = _rel_diff(a, b)
-            worst = max(worst, rel)
-            lines.append(f"    {key.split('/', 1)[1]}: max relative difference {rel:.3g}")
+            diff = _abs_diff(a, b)
+            rel = diff / scale if scale else diff
+            if worst_key is None or rel > worst:
+                worst, worst_key = rel, name
+            lines.append(f"    {name}: max difference {rel:.3g} of the group's largest magnitude")
         verdict = "bitwise equal" if equal == len(keys) else "DIFFERENT"
-        print(f"{group}: {equal}/{len(keys)} tensors bitwise equal, "
-              f"max relative difference {worst:.3g} -> {verdict}")
+        at = f" at {worst_key}" if worst_key is not None else ""
+        print(f"{group}: {equal}/{len(keys)} tensors bitwise equal, max difference {worst:.3g} "
+              f"of the group's largest magnitude {scale:.3g}{at} -> {verdict}")
         if lines:
             print("\n".join(lines))
         all_equal &= equal == len(keys)
