@@ -14,17 +14,13 @@ comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .config import PRESETS, TASKS, ArchConfig, count_parameters, preset
 from .errors import ConfigurationError
 from .files import replace_on_success
 from .losses import relative_performance
 from .training import RunOptions, _load_samples, train
-
-REPORT_FIELDS = ("run", "preset", "tasks", "shared_attention", "parameters",
-                 "losses", "relative", "wall_time", "budget_hash", "config_hash")
-
 
 @dataclass(frozen=True)
 class AblationReport:
@@ -43,11 +39,10 @@ class AblationReport:
     config_hash: str
 
     def to_record(self) -> dict:
-        rec = {}
-        for name in REPORT_FIELDS:
-            value = getattr(self, name)
-            rec[name] = list(value) if name == "tasks" else value
-        return rec
+        return {**asdict(self), "tasks": list(self.tasks)}
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(AblationReport))
 
 
 def normalize_subset(subset) -> tuple:
@@ -126,30 +121,24 @@ def write_report(rows, path) -> None:
         f.write("".join(json.dumps(row.to_record()) + "\n" for row in rows).encode())
 
 
-def shared_comparison(rows, subset=None) -> dict:
-    """Per-task relative-performance deltas, sharing on minus off.
+def shared_comparison(rows) -> dict:
+    """Per-task relative-performance deltas, sharing on minus off, on the
+    largest subset present under both flags.
 
-    Picks the largest subset present under both flags unless one is given.
     Positive delta means the shared-attention run relatively outperformed;
     ``better_or_equal`` counts tasks with delta >= 0.  The direction is
     informational at small scale, not a gate.
     """
-    if subset is not None:
-        subset = normalize_subset(subset)
     by_key = {}
     for row in rows:
         by_key.setdefault((row.tasks, row.shared_attention), row)
     candidates = sorted({tasks for tasks, _ in by_key
                          if (tasks, True) in by_key and (tasks, False) in by_key},
                         key=lambda s: (len(s), s))
-    if subset is None:
-        if not candidates:
-            raise ConfigurationError("no subset was run under both sharing flags")
-        subset = candidates[-1]
-    on, off = by_key.get((subset, True)), by_key.get((subset, False))
-    if on is None or off is None:
-        raise ConfigurationError(
-            f"subset {'+'.join(subset)} was not run under both sharing flags")
+    if not candidates:
+        raise ConfigurationError("no subset was run under both sharing flags")
+    subset = candidates[-1]
+    on, off = by_key[(subset, True)], by_key[(subset, False)]
     deltas = {t: on.relative[t] - off.relative[t] for t in subset}
     return {"tasks": subset,
             "deltas": deltas,

@@ -19,8 +19,8 @@ from .errors import (ConfigurationError, DataError, DimensionError,
                      FormatError, NumericsError, OracleError)
 from .model import init_params
 from .synthetic import generate_dataset, generate_sample, write_dataset
-from .training import (RunOptions, check_model_gradients, evaluate,
-                       load_checkpoint, train)
+from .training import (BALANCE_MODES, DTYPE_NAMES, RunOptions,
+                       check_model_gradients, evaluate, load_checkpoint, train)
 
 _ERRORS = (ConfigurationError, DataError, DimensionError, FormatError,
            NumericsError, OracleError, OSError)
@@ -44,8 +44,8 @@ def _add_budget(p):
     p.add_argument("--warmup", type=int, default=d.warmup_steps)
     p.add_argument("--floor-lr", type=float, default=d.floor_lr)
     p.add_argument("--weight-decay", type=float, default=d.weight_decay)
-    p.add_argument("--dtype", choices=("float64", "float32"), default=d.dtype)
-    p.add_argument("--balance", choices=("static", "inverse-ema"), default=d.balance)
+    p.add_argument("--dtype", choices=DTYPE_NAMES, default=d.dtype)
+    p.add_argument("--balance", choices=BALANCE_MODES, default=d.balance)
 
 
 def _options(args) -> RunOptions:

@@ -30,6 +30,9 @@ ABLATION_AXES = ("tasks", "reference_task", "shared_attention")
 
 @dataclass(frozen=True)
 class ArchConfig:
+    """One architecture.  Building a config that breaks a ``validate`` rule,
+    also through ``dataclasses.replace``, raises ``ConfigurationError``."""
+
     img_size: int = 128
     base_channels: int = 16
     stage_depths: tuple = (1, 1, 2, 1)
@@ -41,6 +44,11 @@ class ArchConfig:
     shared_attention: bool = True
     mlp_ratio: int = 4
     decoder_mlp_ratio: int = 2
+
+    def __post_init__(self):
+        problems = validate(self)
+        if problems:
+            raise ConfigurationError("invalid config: " + "; ".join(problems))
 
 
 def window_shift(cfg: ArchConfig) -> int:
@@ -76,7 +84,8 @@ def task_channels(task: str) -> int:
 
 
 def validate(cfg: ArchConfig) -> list:
-    """Return every violated constraint as a message; empty list means valid."""
+    """Return every violated constraint as a message; empty list means
+    valid.  ``ArchConfig`` runs it on every config it builds."""
     problems = []
     if cfg.img_size < 8 * PATCH or cfg.img_size % (8 * PATCH):  # four integer stage grids
         problems.append(f"img_size must be a positive multiple of {8 * PATCH}, got {cfg.img_size}")
@@ -115,13 +124,6 @@ def validate(cfg: ArchConfig) -> list:
         problems.append("mlp ratios must be >= 1, got "
                         f"{cfg.mlp_ratio} / {cfg.decoder_mlp_ratio}")
     return problems
-
-
-def require_valid(cfg: ArchConfig) -> ArchConfig:
-    problems = validate(cfg)
-    if problems:
-        raise ConfigurationError("invalid config: " + "; ".join(problems))
-    return cfg
 
 
 def preset(name: str) -> ArchConfig:
@@ -220,7 +222,6 @@ def param_layout(cfg: ArchConfig):
     task's pass, unstacked and owned by that task.  Tensors are stored in
     the order their names first appear.
     """
-    require_valid(cfg)
     for name, shape, init in _encoder(cfg):
         yield name, shape, init, None, False
     for k, t in enumerate(cfg.tasks):
@@ -336,5 +337,4 @@ def resolve(config_path=None, preset_name=None) -> ArchConfig:
     """One of --config / --preset, used by every CLI entry point."""
     if (config_path is None) == (preset_name is None):
         raise ConfigurationError("give exactly one of a config path or a preset name")
-    cfg = load(config_path) if config_path else preset(preset_name)
-    return require_valid(cfg)
+    return load(config_path) if config_path else preset(preset_name)

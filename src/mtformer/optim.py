@@ -1,8 +1,11 @@
-"""Decoupled-weight-decay Adam and the warmup-cosine learning rate schedule."""
+"""Decoupled-weight-decay Adam.
+
+The warmup-cosine learning rate schedule that sets its rate lives in
+``training.py``, next to the ``RunOptions`` that hold its numbers.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,33 +85,3 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: float) -> None:
             a /= b
             theta *= decay
             theta -= a
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    total_steps: int
-    peak_lr: float = 5e-5
-    warmup_steps: int = 2000
-    floor_lr: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.warmup_steps <= self.total_steps:
-            raise ConfigurationError(
-                f"need 0 <= warmup ({self.warmup_steps}) <= total ({self.total_steps})")
-        if not 0 <= self.floor_lr <= self.peak_lr:
-            raise ConfigurationError(
-                f"need 0 <= floor ({self.floor_lr}) <= peak ({self.peak_lr})")
-
-
-def lr_schedule(step: int, spec: ScheduleSpec) -> float:
-    """Linear 0 -> peak over the warmup, then cosine decay peak -> floor."""
-    if not 0 <= step <= spec.total_steps:
-        raise ConfigurationError(
-            f"step {step} outside [0, {spec.total_steps}]")
-    if step < spec.warmup_steps:
-        return spec.peak_lr * step / spec.warmup_steps
-    span = spec.total_steps - spec.warmup_steps
-    if span == 0:
-        return spec.peak_lr
-    frac = (step - spec.warmup_steps) / span
-    return spec.floor_lr + (spec.peak_lr - spec.floor_lr) * 0.5 * (1.0 + math.cos(math.pi * frac))

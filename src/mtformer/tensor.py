@@ -566,7 +566,6 @@ _C = 0.5 / math.sqrt(2.0)
 _PP_NDTR = tuple(_C * p / 2 ** i for i, p in enumerate(_PP))
 _QQ_NDTR = tuple(q / 2 ** i for i, q in enumerate(_QQ))
 _SMALL = 0.84375 ** 2  # x^2 bound of the first range, exact in binary
-_CHUNK = 1 << 14  # elements per pass, so the three work rows stay in cache
 
 
 def _poly(coefs, z, out=None):
@@ -606,42 +605,34 @@ def _outside(x: np.ndarray, z: np.ndarray, bound: float):
     return mask, x[mask].astype(np.float64, copy=False)
 
 
-def _ndtr_chunk(x, out, z, p, q) -> None:
-    np.multiply(x, x, out=z)
-    far = _outside(x, z, 2.0 * _SMALL)
-    _poly(_PP_NDTR, z, p)
-    p /= _poly(_QQ_NDTR, z, q)
-    p += _C
-    p *= x
-    np.add(p, 0.5, out=out)
-    if far is not None:
-        phi = _erf_outer(far[1] / math.sqrt(2.0))
-        phi += 1.0
-        phi *= 0.5
-        out[far[0]] = phi
-
-
 def _ndtr(x) -> np.ndarray:
     """The standard normal distribution function Phi(x) = (1 + erf(x /
     sqrt 2)) / 2, elementwise, within 2 ** -52 (float64) of the exact value.
 
     float32 is computed in float32 (the outer ranges, rarely met, in
-    float64); anything else in float64, ``_CHUNK`` elements at a time.  The
-    first range's form runs on every element and overflows or turns invalid
-    far outside that range, where the exact form replaces it, so
-    floating-point error reporting is off inside.
+    float64); anything else in float64.  The first range's form runs on
+    every element and overflows or turns invalid far outside that range,
+    where the exact form replaces it, so floating-point error reporting is
+    off inside.
     """
-    x = np.asarray(x)
+    shape = np.shape(x)
+    x = np.asarray(x).reshape(-1)  # a C-ordered result, whatever the input's layout
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
-    out = np.empty(x.shape, x.dtype)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    work = np.empty((3, min(flat_x.size, _CHUNK)), x.dtype)
     with np.errstate(all="ignore"):
-        for i in range(0, flat_x.size, _CHUNK):
-            xc = flat_x[i:i + _CHUNK]
-            _ndtr_chunk(xc, flat_out[i:i + _CHUNK], *work[:, :xc.size])
-    return out
+        z = x * x
+        far = _outside(x, z, 2.0 * _SMALL)
+        p = _poly(_PP_NDTR, z)
+        p /= _poly(_QQ_NDTR, z)
+        p += _C
+        p *= x
+        p += 0.5
+        if far is not None:
+            phi = _erf_outer(far[1] / math.sqrt(2.0))
+            phi += 1.0
+            phi *= 0.5
+            p[far[0]] = phi
+    return p.reshape(shape)
 
 
 def gelu(a: Tensor) -> Tensor:

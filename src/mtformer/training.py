@@ -5,13 +5,17 @@ per sample with the loss scaled by 1/batch so gradients accumulate into a
 true batch mean, then applies one optimizer update at the scheduled rate.
 Every step appends one metrics record; after the last step a final record
 holds per-task means over the whole training split under the final
-parameters, which ``evaluate`` reproduces exactly.
+parameters, which ``evaluate`` reproduces exactly.  ``RunOptions`` holds a
+run's budget and optimizer numbers, checked when built, and
+``lr_schedule`` turns them into each step's rate; ``optim.py`` holds the
+AdamW update alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import time
 from dataclasses import astuple, dataclass, fields
@@ -25,18 +29,24 @@ from .errors import (ConfigurationError, DataError, DimensionError,
 from .files import Reader, raw, replace_on_success
 from .losses import combine_losses, per_task_loss, task_weights, update_ema
 from .model import Model, empty_params, forward, init_params
-from .optim import OptimState, ScheduleSpec, adamw_step, lr_schedule
+from .optim import OptimState, adamw_step
 from .synthetic import dataset_chunks, read_dataset
 from .tensor import Tape, Tensor, central_difference, mul, zero_grad
 
 CKPT_MAGIC = b"MTCK"
 CKPT_VERSION = 3  # 3: no patch size, shift, class count or Adam betas/eps stored
 _DTYPES = (np.dtype(np.float64), np.dtype(np.float32))  # indexed by the stored code
+DTYPE_NAMES = tuple(dt.name for dt in _DTYPES)
+BALANCE_MODES = ("static", "inverse-ema")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunOptions:
-    """Budget and optimizer knobs for one run; defaults fit a desk CPU."""
+    """Budget and optimizer knobs for one run; defaults fit a desk CPU.
+
+    Every field is checked when the bundle is built, so an invalid one
+    raises ``ConfigurationError`` here, also through ``dataclasses.replace``.
+    A warmup longer than the run is allowed: ``lr_schedule`` clips it."""
 
     steps: int = 2000
     batch_size: int = 4
@@ -45,13 +55,41 @@ class RunOptions:
     warmup_steps: int = 200
     floor_lr: float = 0.0
     weight_decay: float = 0.05
-    dtype: str = "float64"
-    balance: str = "static"  # static | inverse-ema
+    dtype: str = "float64"  # one of DTYPE_NAMES
+    balance: str = "static"  # one of BALANCE_MODES
 
-    def numpy_dtype(self):
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigurationError(f"dtype must be float64 or float32, got {self.dtype!r}")
-        return np.float64 if self.dtype == "float64" else np.float32
+    def __post_init__(self):
+        if self.balance not in BALANCE_MODES:
+            raise ConfigurationError(f"unknown balancing mode {self.balance!r}")
+        if self.steps < 0:
+            raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.dtype not in DTYPE_NAMES:
+            raise ConfigurationError(
+                f"dtype must be {' or '.join(DTYPE_NAMES)}, got {self.dtype!r}")
+        if self.warmup_steps < 0:
+            raise ConfigurationError(
+                f"need 0 <= warmup ({self.warmup_steps}) <= total ({self.steps})")
+        if not 0 <= self.floor_lr <= self.peak_lr:
+            raise ConfigurationError(
+                f"need 0 <= floor ({self.floor_lr}) <= peak ({self.peak_lr})")
+
+
+def lr_schedule(step: int, options: RunOptions) -> float:
+    """Linear 0 -> peak over the warmup, then cosine decay peak -> floor at
+    step ``options.steps``; the warmup is clipped to the run's steps."""
+    total = options.steps
+    if not 0 <= step <= total:
+        raise ConfigurationError(f"step {step} outside [0, {total}]")
+    warmup = min(options.warmup_steps, total)
+    if step < warmup:
+        return options.peak_lr * step / warmup
+    span = total - warmup
+    if span == 0:
+        return options.peak_lr
+    frac = (step - warmup) / span
+    return options.floor_lr + (options.peak_lr - options.floor_lr) * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
 @dataclass
@@ -124,18 +162,9 @@ def train(cfg: ArchConfig, data, options: RunOptions,
     given, the checkpoint holds parameters, optimizer state, step, and the
     config/budget hashes; the metrics log is line-delimited JSON.
     """
-    if options.balance not in ("static", "inverse-ema"):
-        raise ConfigurationError(f"unknown balancing mode {options.balance!r}")
-    if options.steps < 0:
-        raise ConfigurationError(f"steps must be >= 0, got {options.steps}")
-    if options.batch_size < 1:
-        raise ConfigurationError(f"batch size must be >= 1, got {options.batch_size}")
     samples = _load_samples(data, cfg.img_size)
-    model = init_params(cfg, seed=options.seed, dtype=options.numpy_dtype())
+    model = init_params(cfg, seed=options.seed, dtype=options.dtype)
     opt = OptimState(weight_decay=options.weight_decay)
-    sched = ScheduleSpec(total_steps=options.steps, peak_lr=options.peak_lr,
-                         warmup_steps=min(options.warmup_steps, options.steps),
-                         floor_lr=options.floor_lr)
     ema = {} if options.balance == "inverse-ema" else None
     rng = np.random.default_rng(options.seed)
     chash = config_hash(cfg)
@@ -144,7 +173,7 @@ def train(cfg: ArchConfig, data, options: RunOptions,
     metrics = []
     started = time.perf_counter()
     for step in range(options.steps):
-        lr = lr_schedule(step, sched)
+        lr = lr_schedule(step, options)
         zero_grad(model.flat.values())
         picks = rng.integers(0, len(samples), options.batch_size)
         weights = task_weights(cfg.tasks, ema)

@@ -139,8 +139,6 @@ def test_shared_comparison_reports_per_task_deltas():
     assert summary["tasks"] == ("S", "D")
     assert set(summary["deltas"]) == {"S", "D"}
     assert 0 <= summary["better_or_equal"] <= 2
-    explicit = shared_comparison(rows, subset=("S",))
-    assert explicit["tasks"] == ("S",)
 
 
 def test_shared_comparison_requires_both_flags():

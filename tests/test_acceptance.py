@@ -22,12 +22,11 @@ from mtformer.config import TASKS, ArchConfig, count_parameters, preset
 from mtformer.layers import attention_weights
 from mtformer.losses import per_task_loss
 from mtformer.model import forward, init_params
-from mtformer.optim import ScheduleSpec, lr_schedule
 from mtformer.synthetic import (generate_sample, read_dataset, scene_light,
                                 write_dataset)
 from mtformer.tensor import (Tape, Tensor, add, matmul, mul, softmax_lastdim,
                              transpose, zero_grad)
-from mtformer.training import RunOptions, check_model_gradients, train
+from mtformer.training import RunOptions, check_model_gradients, lr_schedule, train
 from mtformer.windowing import (MASK_VALUE, WindowGrid, cyclic_shift,
                                 rel_pos_index, shift_mask, window_partition,
                                 window_reverse)
@@ -228,12 +227,10 @@ OVERFIT_OPTIONS = RunOptions(steps=240, batch_size=2, seed=0, peak_lr=1e-3,
 
 
 def test_criterion_5_optimization_pipeline():
-    sched = ScheduleSpec(total_steps=40_000, peak_lr=5e-5, warmup_steps=2000,
-                         floor_lr=0.0)
-    assert abs(lr_schedule(2000, sched) - 5e-5) <= 1e-12 * 5e-5
-    assert lr_schedule(40_000, sched) == 0.0
-    floored = ScheduleSpec(total_steps=100, peak_lr=5e-5, warmup_steps=10,
-                           floor_lr=1e-6)
+    paper = RunOptions(steps=40_000, peak_lr=5e-5, warmup_steps=2000, floor_lr=0.0)
+    assert abs(lr_schedule(2000, paper) - 5e-5) <= 1e-12 * 5e-5
+    assert lr_schedule(40_000, paper) == 0.0
+    floored = RunOptions(steps=100, peak_lr=5e-5, warmup_steps=10, floor_lr=1e-6)
     assert abs(lr_schedule(100, floored) - 1e-6) <= 1e-12 * 1e-6
 
     nano = preset("desk-nano")
@@ -285,7 +282,8 @@ def test_criterion_6_ablation_protocol():
         if len(row.tasks) == 1:
             assert row.relative[row.tasks[0]] == 0.0
 
-    direction = shared_comparison(rows, subset=TASKS)
+    direction = shared_comparison(rows)
+    assert direction["tasks"] == TASKS
     verdict = "matches" if direction["better_or_equal"] >= 3 else "does not match"
     _report(6, f"14-cell sweep complete, six-column rows, one budget hash; "
                f"soft non-gating direction check: sharing helped or tied on "

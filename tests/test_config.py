@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from mtformer.config import (TASKS, ArchConfig, count_parameters, from_text,
-                             load, preset, require_valid, resolve, save,
+                             load, preset, resolve, save,
                              stage_channels, stage_grids, task_channels,
                              to_text, validate, window_shift)
 from mtformer.errors import ConfigurationError
@@ -47,22 +47,34 @@ def test_unknown_preset_lists_valid_names():
     assert "mult-large" in msg and "desk-nano" in msg
 
 
+def _rejection(**over) -> str:
+    """The message building desk-nano with ``over`` raises, checked to be
+    the same directly and through ``replace``."""
+    with pytest.raises(ConfigurationError, match="^invalid config: ") as direct:
+        ArchConfig(**over)
+    with pytest.raises(ConfigurationError) as replaced:
+        replace(preset("desk-nano"), **over)
+    assert str(replaced.value) == str(direct.value)
+    return str(direct.value)
+
+
 def test_validation_catches_geometry_violations():
-    nano = preset("desk-nano")
-    assert any("divide" in p for p in validate(replace(nano, window=3)))
+    assert "divide" in _rejection(window=3)
     for size in (16, 130, 0, -32):
-        assert any("img_size must be a positive multiple of 32" in p
-                   for p in validate(replace(nano, img_size=size))), size
-    assert any("window must be >= 1" in p for p in validate(replace(nano, window=0)))
-    assert any("encoder_heads" in p for p in validate(replace(nano, encoder_heads=(3, 2, 4, 8))))
-    assert any("decoder_heads" in p for p in validate(replace(nano, decoder_heads=(7, 4, 2, 1))))
-    assert any("reference_task" in p for p in validate(replace(nano, tasks=("S", "D"))))
-    assert any("unknown task" in p for p in validate(replace(nano, tasks=("S", "X", "N"))))
-    assert any("duplicate" in p for p in validate(replace(nano, tasks=("S", "S", "N"))))
-    assert any("tasks" in p for p in validate(replace(nano, tasks=())))
-    assert any("base_channels" in p for p in validate(replace(nano, base_channels=18)))
-    with pytest.raises(ConfigurationError):
-        require_valid(replace(nano, window=3))
+        assert "img_size must be a positive multiple of 32" in _rejection(img_size=size), size
+    assert "window must be >= 1" in _rejection(window=0)
+    assert "encoder_heads" in _rejection(encoder_heads=(3, 2, 4, 8))
+    assert "decoder_heads" in _rejection(decoder_heads=(7, 4, 2, 1))
+    assert "reference_task" in _rejection(tasks=("S", "D"))
+    assert "unknown task" in _rejection(tasks=("S", "X", "N"))
+    assert "duplicate" in _rejection(tasks=("S", "S", "N"))
+    assert "tasks" in _rejection(tasks=())
+    assert "base_channels" in _rejection(base_channels=18)
+    assert "mlp ratios" in _rejection(decoder_mlp_ratio=0)
+    # every violated rule is listed, in validate's order
+    assert _rejection(window=0, base_channels=18) == (
+        "invalid config: window must be >= 1, got 0; "
+        "base_channels must be a positive multiple of 4 for the head upsampling, got 18")
 
 
 def test_task_channels():

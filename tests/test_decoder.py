@@ -31,7 +31,7 @@ def _small_cfg(**over):
                 decoder_heads=(8, 4, 2, 1), window=2,
                 tasks=("S", "D", "N"), reference_task="N")
     base.update(over)
-    return config.require_valid(config.ArchConfig(**base))
+    return config.ArchConfig(**base)
 
 
 # ---------------------------------------------------------------- expansion

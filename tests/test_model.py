@@ -183,10 +183,10 @@ def test_forward_deterministic_without_tape():
 
 
 def test_init_rejects_invalid_config():
+    # no invalid config reaches init_params: building one raises
     from mtformer.errors import ConfigurationError
-    cfg = replace(config.preset("desk-nano"), window=3)
-    with pytest.raises(ConfigurationError):
-        init_params(cfg, seed=0)
+    with pytest.raises(ConfigurationError, match="^invalid config: window 3 must divide"):
+        replace(config.preset("desk-nano"), window=3)
 
 
 def test_duplicate_parameter_name_is_a_configuration_error():

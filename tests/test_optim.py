@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mtformer.errors import ConfigurationError, NumericsError
-from mtformer.optim import CHUNK, OptimState, ScheduleSpec, adamw_step, lr_schedule
+from mtformer.optim import CHUNK, OptimState, adamw_step
+from mtformer.training import RunOptions, lr_schedule
 from mtformer.tensor import Tensor
 
 
@@ -81,41 +82,44 @@ def test_adam_converges_on_quadratic():
 
 
 def test_schedule_paper_settings_pinned():
-    spec = ScheduleSpec(total_steps=40000, peak_lr=5e-5, warmup_steps=2000)
-    assert abs(lr_schedule(2000, spec) - 5e-5) <= 1e-12 * 5e-5
-    assert lr_schedule(40000, spec) == 0.0
-    spec_floor = ScheduleSpec(total_steps=1000, peak_lr=1e-3,
-                              warmup_steps=100, floor_lr=1e-5)
-    assert abs(lr_schedule(1000, spec_floor) - 1e-5) <= 1e-12 * 1e-5
+    opts = RunOptions(steps=40000, peak_lr=5e-5, warmup_steps=2000)
+    assert abs(lr_schedule(2000, opts) - 5e-5) <= 1e-12 * 5e-5
+    assert lr_schedule(40000, opts) == 0.0
+    floored = RunOptions(steps=1000, peak_lr=1e-3, warmup_steps=100, floor_lr=1e-5)
+    assert abs(lr_schedule(1000, floored) - 1e-5) <= 1e-12 * 1e-5
 
 
 def test_schedule_shape():
-    spec = ScheduleSpec(total_steps=100, peak_lr=1e-3, warmup_steps=10)
-    assert lr_schedule(0, spec) == 0.0
-    assert abs(lr_schedule(5, spec) - 5e-4) < 1e-18
+    opts = RunOptions(steps=100, peak_lr=1e-3, warmup_steps=10)
+    assert lr_schedule(0, opts) == 0.0
+    assert abs(lr_schedule(5, opts) - 5e-4) < 1e-18
     # continuous at the warmup boundary
-    assert abs(lr_schedule(10, spec) - 1e-3) < 1e-18
+    assert abs(lr_schedule(10, opts) - 1e-3) < 1e-18
     # halfway through the cosine phase sits at the midpoint
-    assert abs(lr_schedule(55, spec) - 5e-4) < 1e-12
-    vals = [lr_schedule(s, spec) for s in range(10, 101)]
+    assert abs(lr_schedule(55, opts) - 5e-4) < 1e-12
+    vals = [lr_schedule(s, opts) for s in range(10, 101)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigurationError):
-        ScheduleSpec(total_steps=10, warmup_steps=11)
-    with pytest.raises(ConfigurationError):
-        ScheduleSpec(total_steps=10, warmup_steps=2, peak_lr=1e-4, floor_lr=1e-3)
-    spec = ScheduleSpec(total_steps=10, warmup_steps=2)
-    with pytest.raises(ConfigurationError):
-        lr_schedule(11, spec)
-    with pytest.raises(ConfigurationError):
-        lr_schedule(-1, spec)
+    with pytest.raises(ConfigurationError, match=r"^need 0 <= warmup \(-1\) <= total \(10\)$"):
+        RunOptions(steps=10, warmup_steps=-1)
+    with pytest.raises(ConfigurationError, match=r"^need 0 <= floor \(0.001\) <= peak \(0.0001\)$"):
+        RunOptions(steps=10, warmup_steps=2, peak_lr=1e-4, floor_lr=1e-3)
+    opts = RunOptions(steps=10, warmup_steps=2)
+    with pytest.raises(ConfigurationError, match=r"^step 11 outside \[0, 10\]$"):
+        lr_schedule(11, opts)
+    with pytest.raises(ConfigurationError, match=r"^step -1 outside \[0, 10\]$"):
+        lr_schedule(-1, opts)
 
 
 def test_degenerate_all_warmup_schedule():
-    spec = ScheduleSpec(total_steps=5, warmup_steps=5, peak_lr=1e-3)
-    assert lr_schedule(5, spec) == 1e-3
+    opts = RunOptions(steps=5, warmup_steps=5, peak_lr=1e-3)
+    assert lr_schedule(5, opts) == 1e-3
+    # a warmup longer than the run is clipped to its steps
+    longer = RunOptions(steps=5, warmup_steps=50, peak_lr=1e-3)
+    assert [lr_schedule(s, longer) for s in range(6)] == [lr_schedule(s, opts) for s in range(6)]
+
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_adamw_matches_reference_formula_bitwise(dtype):

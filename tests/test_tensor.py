@@ -177,11 +177,11 @@ def test_ndtr_is_the_normal_distribution_function(dtype):
 
 
 def test_ndtr_keeps_shape_across_chunks():
-    x = np.linspace(-6.0, 6.0, 40_000).reshape(8, 5000)  # several chunks, every range
+    x = np.linspace(-6.0, 6.0, 40_000).reshape(8, 5000)  # every range
     want = T._ndtr(x)
     assert want.shape == x.shape
     _assert_bitwise(T._ndtr(x.T), want.T)  # a non-contiguous input
-    # elementwise: the chunk an element falls in does not change its value
+    # elementwise: how the input is split does not change a value
     pieces = [T._ndtr(part) for part in np.array_split(x.reshape(-1), 7)]
     _assert_bitwise(np.concatenate(pieces), want.reshape(-1))
 

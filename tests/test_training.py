@@ -1,9 +1,10 @@
 """Training loop, evaluation, checkpoint format, and model-level grad checks."""
 
 import json
+import re
 import struct
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mtformer.errors import (ConfigurationError, DataError, DimensionError,
 from mtformer.synthetic import generate_sample
 from mtformer.training import (RunOptions, budget_hash, check_model_gradients,
                                config_hash, evaluate, load_checkpoint,
-                               save_checkpoint, train)
+                               lr_schedule, save_checkpoint, train)
 
 
 def tiny_cfg(tasks=("S", "D"), shared=True, **overrides):
@@ -71,12 +72,9 @@ def test_metrics_record_shape_and_schedule():
     opts = tiny_options(steps=4)
     res = train(cfg, data, opts)
     assert len(res.metrics) == opts.steps + 1
-    from mtformer.optim import ScheduleSpec, lr_schedule
-    sched = ScheduleSpec(total_steps=opts.steps, peak_lr=opts.peak_lr,
-                         warmup_steps=opts.warmup_steps, floor_lr=opts.floor_lr)
     for step, rec in enumerate(res.metrics[:-1]):
         assert rec["step"] == step
-        assert rec["lr"] == lr_schedule(step, sched)
+        assert rec["lr"] == lr_schedule(step, opts)
         assert set(rec["losses"]) == set(cfg.tasks)
         assert set(rec["weights"]) == set(cfg.tasks)
         assert np.isfinite(rec["total"])
@@ -424,6 +422,11 @@ def test_budget_hash_is_unchanged_by_streaming_the_data():
     # recorded when the hash covered one joined copy of the dataset bytes
     assert budget_hash(tiny_cfg(), tiny_options(), tiny_data()) == (
         "467e07f87c283397a31e9887be659bc6870da17874c4d0a6ab34017a61badca4")
+    # recorded when the run options were a mutable bundle train checked
+    every_field = tiny_options(dtype="float32", balance="inverse-ema", warmup_steps=50,
+                               floor_lr=1e-4, weight_decay=0.0)
+    assert budget_hash(tiny_cfg(), every_field, tiny_data()) == (
+        "844fa321bdade55f5e1cad586a1ef9e1fd633b392e21e2907c9c02230039ff02")
 
 
 def test_budget_hash_ignores_ablation_axes_only():
@@ -437,10 +440,13 @@ def test_budget_hash_ignores_ablation_axes_only():
     # every other config field does, and so does the budget and the data
     moved = {"img_size": 64, "base_channels": 16, "stage_depths": (1, 1, 2, 1),
              "encoder_heads": (1, 2, 4, 4), "decoder_heads": (4, 4, 2, 1),
-             "window": 2, "mlp_ratio": 3, "decoder_mlp_ratio": 3}
-    assert set(moved) == {f.name for f in fields(ArchConfig)} - set(ABLATION_AXES)
+             "mlp_ratio": 3, "decoder_mlp_ratio": 3}
+    assert set(moved) | {"window"} == {f.name for f in fields(ArchConfig)} - set(ABLATION_AXES)
     for name, value in moved.items():
         assert budget_hash(tiny_cfg(**{name: value}), opts, data) != base, name
+    # window 2 needs a 2x2 deepest grid, so it moves on a 64 px config
+    wide = budget_hash(tiny_cfg(img_size=64), opts, data)
+    assert budget_hash(tiny_cfg(img_size=64, window=2), opts, data) != wide
     assert budget_hash(tiny_cfg(), tiny_options(steps=4), data) != base
     assert budget_hash(tiny_cfg(), tiny_options(peak_lr=2e-3), data) != base
     assert budget_hash(tiny_cfg(), opts, tiny_data(count=2, base_seed=50)) != base
@@ -448,6 +454,9 @@ def test_budget_hash_ignores_ablation_axes_only():
 
 
 def test_config_hash_tracks_every_field():
+    # recorded when the config checked itself only where a consumer asked
+    assert config_hash(tiny_cfg()) == (
+        "ffde775d1742ca719da62bca236ff15c781d32057541aac68715bb4eb84a8e2f")
     assert config_hash(tiny_cfg()) != config_hash(tiny_cfg(shared=False))
     assert config_hash(tiny_cfg()) != config_hash(tiny_cfg(tasks=("S",)))
     assert config_hash(tiny_cfg()) == config_hash(tiny_cfg())
@@ -589,6 +598,32 @@ def test_negative_init_and_probe_seeds_are_configuration_errors(monkeypatch):
     monkeypatch.setattr(training, "forward", no_forward)
     with pytest.raises(ConfigurationError, match="seed must be >= 0"):
         check_model_gradients(model, generate_sample(0, 32), seed=-1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("steps", -1, "steps must be >= 0, got -1"),
+    ("batch_size", 0, "batch size must be >= 1, got 0"),
+    ("warmup_steps", -1, "need 0 <= warmup (-1) <= total (2000)"),
+    ("floor_lr", 1e-4, "need 0 <= floor (0.0001) <= peak (5e-05)"),
+    ("floor_lr", -1e-6, "need 0 <= floor (-1e-06) <= peak (5e-05)"),
+    ("peak_lr", -1e-3, "need 0 <= floor (0.0) <= peak (-0.001)"),
+    ("dtype", "float16", "dtype must be float64 or float32, got 'float16'"),
+    ("balance", "gradnorm", "unknown balancing mode 'gradnorm'"),
+])
+def test_invalid_run_options_cannot_be_built(field, value, message):
+    # directly and through replace, with the text train used to raise
+    exact = "^" + re.escape(message) + "$"
+    with pytest.raises(ConfigurationError, match=exact):
+        RunOptions(**{field: value})
+    with pytest.raises(ConfigurationError, match=exact):
+        replace(RunOptions(), **{field: value})
+
+
+def test_run_options_are_frozen():
+    opts = RunOptions()
+    with pytest.raises(FrozenInstanceError):
+        opts.steps = -1
+    assert opts.steps == 2000
 
 
 def test_negative_steps_are_a_configuration_error_naming_the_steps():

@@ -11,7 +11,8 @@ computes, on the desk-nano preset with seed 0 and BLAS pinned to one thread:
   configs float64/float32 x shared/unshared attention, keeping the six task
   predictions and every parameter gradient;
 * a 3-step ``train`` run (float64, shared attention, batch 4, two scenes),
-  keeping the trained parameters and both AdamW moments;
+  keeping the trained parameters, both AdamW moments, and each step's
+  ``lr`` and ``total`` from its metrics;
 * the ``generate_dataset`` bundles for seeds 0-3 at 32 and 128 px, every
   field of every scene;
 * the bytes of the ``write_dataset`` file of those bundles and of its seed
@@ -102,6 +103,9 @@ def _worker(out_path: str) -> None:
         arrays[f"train parameters/{name}"] = p.data
         arrays[f"train first moments/{name}"] = result.optim.m[name]
         arrays[f"train second moments/{name}"] = result.optim.v[name]
+    steps = [rec for rec in result.metrics if "final_eval" not in rec]
+    for key in ("lr", "total"):
+        arrays[f"train metrics/{key}"] = np.array([rec[key] for rec in steps])
 
     for size in SCENE_SIZES:
         bundles = generate_dataset(SCENES, size, base_seed=0)
