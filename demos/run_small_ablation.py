@@ -13,10 +13,9 @@ from mtformer.synthetic import generate_sample
 from mtformer.training import RunOptions
 
 cfg = ArchConfig(img_size=32, base_channels=8,
-                 stage_depths=(1, 1, 1, 1), encoder_heads=(1, 2, 4, 8),
-                 decoder_heads=(8, 4, 2, 1), window=1,
+                 stage_depths=(1, 1, 1, 1), heads=1, window=1,
                  tasks=("D", "E"), reference_task="D",
-                 mlp_ratio=2, decoder_mlp_ratio=2)
+                 mlp_ratio=2)
 data = [generate_sample(s, 32) for s in range(4)]
 options = RunOptions(steps=40, batch_size=2, seed=0, peak_lr=2e-3,
                      warmup_steps=8)

@@ -19,10 +19,9 @@ from mtformer.tensor import Tape, Tensor, zero_grad
 from mtformer.training import RunOptions, train
 
 cfg = ArchConfig(img_size=64, base_channels=8,
-                 stage_depths=(1, 1, 2, 1), encoder_heads=(1, 2, 4, 8),
-                 decoder_heads=(8, 4, 2, 1), window=2,
+                 stage_depths=(1, 1, 2, 1), heads=1, window=2,
                  tasks=("D", "K", "E"), reference_task="D",
-                 mlp_ratio=2, decoder_mlp_ratio=2)
+                 mlp_ratio=2)
 
 # 1. one attention pattern: clone D's private parameters into K and E and
 # the three outputs collapse onto each other

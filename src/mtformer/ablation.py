@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields, replace
 
-from .config import PRESETS, TASKS, ArchConfig, count_parameters, preset
+from .config import PRESETS, TASKS, ArchConfig, count_parameters
 from .errors import ConfigurationError
 from .files import replace_on_success
 from .losses import relative_performance
@@ -84,7 +84,7 @@ def ablate(cfg: ArchConfig, data, options: RunOptions, subsets=None,
     flags = list(dict.fromkeys(bool(f) for f in shared_flags))
     if not flags:
         raise ConfigurationError("no sharing flags requested")
-    label = next((name for name in PRESETS if preset(name) == cfg), "custom")
+    label = next((name for name, known in PRESETS.items() if known == cfg), "custom")
 
     needed = sorted({t for s in subsets for t in s}, key=TASKS.index)
     rows = []

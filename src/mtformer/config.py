@@ -2,9 +2,10 @@
 
 A config fully determines the model: a four stage windowed encoder whose
 channel widths double per stage, mirrored per task decoders coupled by a
-shared attention block, and per task output heads.  Task ids are single
-letters: S segmentation, D depth, N surface normals, K keypoints, E edges,
-R reshading.  Patch size, window shift and class count are fixed, not set.
+shared attention block, and per task output heads; as in Swin, the heads
+double with the channels.  Task ids are single letters: S segmentation, D
+depth, N surface normals, K keypoints, E edges, R reshading.  Patch size,
+window shift, class count and the decoder MLP ratio are fixed, not set.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from .synthetic import NUM_CLASSES
 
 TASKS = ("S", "D", "N", "K", "E", "R")
 
-PRESETS = ("mult-large", "mult-tiny", "desk-nano")
-
 # pixels per patch side; the task heads upsample exactly 4x back to pixels
 PATCH = 4
+
+# hidden width of every decoder MLP, in multiples of the block's channels
+DECODER_MLP_RATIO = 2
 
 # fields an ablation varies between rows that must stay comparable
 ABLATION_AXES = ("tasks", "reference_task", "shared_attention")
@@ -36,14 +38,12 @@ class ArchConfig:
     img_size: int = 128
     base_channels: int = 16
     stage_depths: tuple = (1, 1, 2, 1)
-    encoder_heads: tuple = (1, 2, 4, 8)
-    decoder_heads: tuple = (8, 4, 2, 1)
+    heads: int = 1  # attention heads of encoder stage 0; see stage_heads
     window: int = 4
     tasks: tuple = TASKS
     reference_task: str = "N"
     shared_attention: bool = True
     mlp_ratio: int = 4
-    decoder_mlp_ratio: int = 2
 
     def __post_init__(self):
         problems = validate(self)
@@ -59,6 +59,11 @@ def window_shift(cfg: ArchConfig) -> int:
 def stage_channels(cfg: ArchConfig) -> tuple:
     """Encoder channel widths per stage: C, 2C, 4C, 8C."""
     return tuple(cfg.base_channels << s for s in range(4))
+
+
+def stage_heads(cfg: ArchConfig) -> tuple:
+    """Attention heads per encoder stage: h, 2h, 4h, 8h; the decoder mirrors them."""
+    return tuple(cfg.heads << s for s in range(4))
 
 
 def decoder_channels(cfg: ArchConfig) -> tuple:
@@ -98,17 +103,11 @@ def validate(cfg: ArchConfig) -> list:
     if cfg.base_channels < 4 or cfg.base_channels % 4:
         problems.append(
             f"base_channels must be a positive multiple of 4 for the head upsampling, got {cfg.base_channels}")
-    for name, tup in (("stage_depths", cfg.stage_depths),
-                      ("encoder_heads", cfg.encoder_heads),
-                      ("decoder_heads", cfg.decoder_heads)):
-        if len(tup) != 4 or any(int(v) < 1 for v in tup):
-            problems.append(f"{name} must be 4 positive ints, got {tup}")
-    for name, heads, widths in (("encoder_heads", cfg.encoder_heads, stage_channels(cfg)),
-                                ("decoder_heads", cfg.decoder_heads, decoder_channels(cfg))):
-        if len(heads) == 4 and cfg.base_channels % 4 == 0:
-            for s, (ch, m) in enumerate(zip(widths, heads)):
-                if m >= 1 and ch % m:
-                    problems.append(f"{name}[{s}]={m} must divide channels {ch}")
+    if len(cfg.stage_depths) != 4 or any(int(v) < 1 for v in cfg.stage_depths):
+        problems.append(f"stage_depths must be 4 positive ints, got {cfg.stage_depths}")
+    # heads and channels both double per stage, so stage 0 decides every stage
+    if cfg.heads < 1 or cfg.base_channels % cfg.heads:
+        problems.append(f"heads must be >= 1 and divide base_channels, got {cfg.heads}")
     if not cfg.tasks:
         problems.append("tasks must be a non-empty subset of " + ",".join(TASKS))
     else:
@@ -120,25 +119,23 @@ def validate(cfg: ArchConfig) -> list:
         if cfg.reference_task not in cfg.tasks:
             problems.append(
                 f"reference_task {cfg.reference_task!r} must be one of the active tasks {cfg.tasks}")
-    if cfg.mlp_ratio < 1 or cfg.decoder_mlp_ratio < 1:
-        problems.append("mlp ratios must be >= 1, got "
-                        f"{cfg.mlp_ratio} / {cfg.decoder_mlp_ratio}")
+    if cfg.mlp_ratio < 1:
+        problems.append(f"mlp_ratio must be >= 1, got {cfg.mlp_ratio}")
     return problems
 
 
+# named architectures: the published large/tiny pair and the desk scale defaults
+PRESETS = {
+    "mult-large": ArchConfig(img_size=224, base_channels=192, stage_depths=(2, 2, 18, 2), heads=6, window=7),
+    "mult-tiny": ArchConfig(img_size=224, base_channels=96, stage_depths=(2, 2, 6, 2), heads=6, window=7),
+    "desk-nano": ArchConfig(),
+}
+
+
 def preset(name: str) -> ArchConfig:
-    """Named architectures: the published large/tiny pair and a desk scale one."""
-    if name == "mult-large":
-        return ArchConfig(img_size=224, base_channels=192,
-                          stage_depths=(2, 2, 18, 2), encoder_heads=(6, 12, 24, 48),
-                          decoder_heads=(48, 24, 12, 6), window=7)
-    if name == "mult-tiny":
-        return ArchConfig(img_size=224, base_channels=96,
-                          stage_depths=(2, 2, 6, 2), encoder_heads=(6, 12, 24, 48),
-                          decoder_heads=(48, 24, 12, 6), window=7)
-    if name == "desk-nano":
-        return ArchConfig()  # the defaults are desk scale
-    raise ConfigurationError(f"unknown preset {name!r}, valid presets: {', '.join(PRESETS)}")
+    if name not in PRESETS:
+        raise ConfigurationError(f"unknown preset {name!r}, valid presets: {', '.join(PRESETS)}")
+    return PRESETS[name]
 
 
 # ----------------------------------------------------------- parameter layout
@@ -179,11 +176,10 @@ def _block(name: str, c: int, heads: int, window: int, ratio: int, attn: str = "
 
 
 def _encoder(cfg: ArchConfig):
-    enc_ch = stage_channels(cfg)
     yield from _linear("patch_embed", 3 * PATCH ** 2, cfg.base_channels)
-    for s, c in enumerate(enc_ch):
+    for s, (c, heads) in enumerate(zip(stage_channels(cfg), stage_heads(cfg))):
         for d in range(cfg.stage_depths[s]):
-            yield from _block(f"encoder.s{s}.b{d}", c, cfg.encoder_heads[s], cfg.window, cfg.mlp_ratio)
+            yield from _block(f"encoder.s{s}.b{d}", c, heads, cfg.window, cfg.mlp_ratio)
         if s < 3:  # patch merge, 4C -> 2C bias free
             yield from _norm(f"encoder.merge{s}.ln", 4 * c)
             yield f"encoder.merge{s}.weight", (4 * c, 2 * c), NORMAL
@@ -193,11 +189,11 @@ def _decoder(cfg: ArchConfig):
     """One task's decoder, the shared bundle declared inside ``b2``."""
     dec_ch = decoder_channels(cfg)
     yield from _linear("decoder.init", dec_ch[0], dec_ch[0])  # stream init from the deepest feature
-    for i, c in enumerate(dec_ch):
+    for i, (c, heads) in enumerate(zip(dec_ch, stage_heads(cfg)[::-1])):
         base = f"decoder.s{i}"
         yield from _linear(f"{base}.fuse", c, c)  # additive skip fusion
-        yield from _block(f"{base}.b1", c, cfg.decoder_heads[i], cfg.window, cfg.decoder_mlp_ratio)
-        yield from _block(f"{base}.b2", c, cfg.decoder_heads[i], cfg.window, cfg.decoder_mlp_ratio,
+        yield from _block(f"{base}.b1", c, heads, cfg.window, DECODER_MLP_RATIO)
+        yield from _block(f"{base}.b2", c, heads, cfg.window, DECODER_MLP_RATIO,
                           attn=f"{base}.shared" if cfg.shared_attention else "")
         if i < 3:  # patch expand, bias free
             yield f"decoder.expand{i}.weight", (c, 2 * c), NORMAL
@@ -265,7 +261,7 @@ def count_parameters(cfg: ArchConfig) -> ParamCount:
 
 # ------------------------------------------------------------- serialization
 
-_TUPLE_FIELDS = {"stage_depths", "encoder_heads", "decoder_heads"}
+_TUPLE_FIELDS = {"stage_depths"}
 _BOOL_FIELDS = {"shared_attention"}
 _STR_FIELDS = {"reference_task"}
 

@@ -34,7 +34,7 @@ from .synthetic import dataset_chunks, read_dataset
 from .tensor import Tape, Tensor, central_difference, mul, zero_grad
 
 CKPT_MAGIC = b"MTCK"
-CKPT_VERSION = 3  # 3: no patch size, shift, class count or Adam betas/eps stored
+CKPT_VERSION = 4  # 4: one head count, no decoder MLP ratio in the config text
 _DTYPES = (np.dtype(np.float64), np.dtype(np.float32))  # indexed by the stored code
 DTYPE_NAMES = tuple(dt.name for dt in _DTYPES)
 BALANCE_MODES = ("static", "inverse-ema")
@@ -65,6 +65,8 @@ class RunOptions:
             raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.dtype not in DTYPE_NAMES:
             raise ConfigurationError(
                 f"dtype must be {' or '.join(DTYPE_NAMES)}, got {self.dtype!r}")
@@ -74,6 +76,8 @@ class RunOptions:
         if not 0 <= self.floor_lr <= self.peak_lr:
             raise ConfigurationError(
                 f"need 0 <= floor ({self.floor_lr}) <= peak ({self.peak_lr})")
+        if self.weight_decay < 0:
+            raise ConfigurationError(f"weight decay must be >= 0, got {self.weight_decay}")
 
 
 def lr_schedule(step: int, options: RunOptions) -> float:

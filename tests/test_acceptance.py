@@ -121,10 +121,9 @@ def test_criterion_2_window_geometry_invariants():
 
 def _small_shared_cfg(tasks):
     return ArchConfig(img_size=64, base_channels=8,
-                      stage_depths=(1, 1, 2, 1), encoder_heads=(1, 2, 4, 8),
-                      decoder_heads=(8, 4, 2, 1), window=2,
+                      stage_depths=(1, 1, 2, 1), heads=1, window=2,
                       tasks=tasks, reference_task=tasks[0],
-                      mlp_ratio=2, decoder_mlp_ratio=2, shared_attention=True)
+                      mlp_ratio=2, shared_attention=True)
 
 
 def test_criterion_3_shared_attention_semantics():
@@ -260,10 +259,9 @@ def test_criterion_5_optimization_pipeline():
 
 def test_criterion_6_ablation_protocol():
     cfg = ArchConfig(img_size=32, base_channels=8,
-                     stage_depths=(1, 1, 1, 1), encoder_heads=(1, 2, 4, 8),
-                     decoder_heads=(8, 4, 2, 1), window=1,
+                     stage_depths=(1, 1, 1, 1), heads=1, window=1,
                      tasks=TASKS, reference_task="N",
-                     mlp_ratio=2, decoder_mlp_ratio=2)
+                     mlp_ratio=2)
     data = [generate_sample(s, 32) for s in range(4)]
     options = RunOptions(steps=30, batch_size=2, seed=0, peak_lr=2e-3,
                          warmup_steps=5)

@@ -92,6 +92,18 @@ def test_train_rejects_negative_steps(capsys, tmp_path, tiny_config_path, tiny_d
     assert captured.out == "" and not ckpt.exists()
 
 
+def test_train_rejects_negative_seed_before_reading_data(capsys, tmp_path, tiny_config_path):
+    # the options are checked first, so a missing dataset is not what is reported
+    missing = tmp_path / "missing.mtds"
+    ckpt = tmp_path / "x.mtck"
+    code = main(["train", "--config", tiny_config_path, "--data", str(missing),
+                 "--seed", "-1", "--out", str(ckpt)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert captured.out == "" and not ckpt.exists()
+
+
 def test_eval_reports_missing_file(capsys, tiny_dataset_path):
     code = main(["eval", "--ckpt", "/nonexistent.mtck", "--data", tiny_dataset_path])
     assert code == 2

@@ -5,16 +5,17 @@ from dataclasses import replace
 
 import pytest
 
-from mtformer.config import (TASKS, ArchConfig, count_parameters, from_text,
-                             load, preset, resolve, save,
-                             stage_channels, stage_grids, task_channels,
-                             to_text, validate, window_shift)
+from mtformer.config import (PRESETS, TASKS, ArchConfig, count_parameters,
+                             from_text, load, preset, resolve, save,
+                             stage_channels, stage_grids, stage_heads,
+                             task_channels, to_text, validate, window_shift)
 from mtformer.errors import ConfigurationError
 from mtformer.synthetic import NUM_CLASSES
 
 
 def test_presets_are_valid():
-    for name in ("mult-large", "mult-tiny", "desk-nano"):
+    assert list(PRESETS) == ["mult-large", "mult-tiny", "desk-nano"]
+    for name in PRESETS:
         assert validate(preset(name)) == []
 
 
@@ -22,19 +23,19 @@ def test_preset_values_pinned():
     large = preset("mult-large")
     assert large.base_channels == 192
     assert large.stage_depths == (2, 2, 18, 2)
-    assert large.encoder_heads == (6, 12, 24, 48)
-    assert large.decoder_heads == (48, 24, 12, 6)
+    assert large.heads == 6 and stage_heads(large) == (6, 12, 24, 48)
     assert large.window == 7 and window_shift(large) == 3
     assert large.reference_task == "N"
     assert large.shared_attention
 
     tiny = preset("mult-tiny")
     assert tiny.stage_depths == (2, 2, 6, 2) and tiny.base_channels == 96
+    assert stage_heads(tiny) == (6, 12, 24, 48)
 
     nano = preset("desk-nano")
     assert nano.img_size == 128 and nano.base_channels == 16
     assert nano.stage_depths == (1, 1, 2, 1)
-    assert nano.encoder_heads == (1, 2, 4, 8)
+    assert nano.heads == 1 and stage_heads(nano) == (1, 2, 4, 8)
     assert nano.window == 4 and window_shift(nano) == 2
     assert stage_grids(nano) == (32, 16, 8, 4)
     assert stage_channels(nano) == (16, 32, 64, 128)
@@ -63,14 +64,15 @@ def test_validation_catches_geometry_violations():
     for size in (16, 130, 0, -32):
         assert "img_size must be a positive multiple of 32" in _rejection(img_size=size), size
     assert "window must be >= 1" in _rejection(window=0)
-    assert "encoder_heads" in _rejection(encoder_heads=(3, 2, 4, 8))
-    assert "decoder_heads" in _rejection(decoder_heads=(7, 4, 2, 1))
+    # heads and channels double together, so stage 0 decides divisibility
+    assert "heads must be >= 1 and divide base_channels, got 3" in _rejection(heads=3)
+    assert "heads must be >= 1 and divide base_channels, got 0" in _rejection(heads=0)
     assert "reference_task" in _rejection(tasks=("S", "D"))
     assert "unknown task" in _rejection(tasks=("S", "X", "N"))
     assert "duplicate" in _rejection(tasks=("S", "S", "N"))
     assert "tasks" in _rejection(tasks=())
     assert "base_channels" in _rejection(base_channels=18)
-    assert "mlp ratios" in _rejection(decoder_mlp_ratio=0)
+    assert "mlp_ratio must be >= 1, got 0" in _rejection(mlp_ratio=0)
     # every violated rule is listed, in validate's order
     assert _rejection(window=0, base_channels=18) == (
         "invalid config: window must be >= 1, got 0; "
@@ -126,12 +128,13 @@ def test_parameter_count_monotone_in_tasks():
     assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
-def _closed_form(window=4, mlp_ratio=4, decoder_mlp_ratio=2, tasks=TASKS,
-                 reference_task="N", shared_attention=True):
+def _closed_form(window=4, mlp_ratio=4, tasks=TASKS, reference_task="N",
+                 shared_attention=True):
     """Spreadsheet oracle, derived by hand from the layer inventory, of the
-    desk-nano layout (C=16, depths 1-1-2-1, heads 1-2-4-8 and 8-4-2-1) with
-    the fields that change the count left free; returns the encoder, the
-    per-task decoders, the per-task heads and the total."""
+    desk-nano layout (C=16, depths 1-1-2-1, heads 1-2-4-8 and 8-4-2-1,
+    decoder MLP ratio 2) with the fields that change the count left free;
+    returns the encoder, the per-task decoders, the per-task heads and the
+    total."""
     rows = (2 * window - 1) ** 2                               # bias-table rows
     # 2 norms (4C) + q/k/v/out (4C^2+4C) + table + r-x MLP (2rC^2+rC+C)
     block = lambda C, M, r: (4 + 2 * r) * C * C + (9 + r) * C + rows * M
@@ -142,7 +145,7 @@ def _closed_form(window=4, mlp_ratio=4, decoder_mlp_ratio=2, tasks=TASKS,
                + merge(16) + merge(32) + merge(64))
     # per task and stage: block1, block2 less its q/k/table, fuse C^2+C
     cross = lambda C, M: 2 * (C * C + C) + rows * M            # q/k + table
-    stage = lambda C, M: (2 * block(C, M, decoder_mlp_ratio) - cross(C, M) + C * C + C)
+    stage = lambda C, M: (2 * block(C, M, 2) - cross(C, M) + C * C + C)
     per_task = (stage(128, 8) + stage(64, 4) + stage(32, 2) + stage(16, 1)
                 + (128 * 128 + 128)                            # stream init
                 + 2 * 128 * 128 + 2 * 64 * 64 + 2 * 32 * 32)   # three patch expands
@@ -175,7 +178,6 @@ COUNT_VARIANTS = {
     "one-task": {"tasks": ("N",)},
     "reference-last": {"tasks": ("S", "D"), "reference_task": "D"},
     "reference-first": {"tasks": ("N", "D")},
-    "decoder-mlp-4": {"decoder_mlp_ratio": 4},
     "window-2": {"window": 2},
     "mlp-2-three-tasks": {"mlp_ratio": 2, "tasks": ("E", "S", "R"), "reference_task": "R"},
 }
@@ -196,6 +198,18 @@ def test_mult_large_lands_near_published_total():
     assert abs(total - 545_000_000) / 545_000_000 <= 0.20
 
 
+@pytest.mark.parametrize("name, shared, unshared", [
+    ("mult-large", 535621209, 567060459),
+    ("mult-tiny", 112872753, 120796803),
+    ("desk-nano", 2758663, 2982338),
+])
+def test_preset_totals_are_pinned(name, shared, unshared):
+    # recorded when every stage's head count was a settable field
+    cfg = preset(name)
+    assert count_parameters(cfg).total == shared
+    assert count_parameters(replace(cfg, shared_attention=False)).total == unshared
+
+
 def test_mult_large_counts_without_allocating():
     # 535,621,209 float64 parameters would take 4 GiB; counting reads the layout only
     tracemalloc.start()
@@ -209,6 +223,12 @@ def test_mult_large_counts_without_allocating():
 
 
 # ------------------------------------------------------------- serialization
+
+def test_desk_nano_text_is_pinned():
+    assert to_text(preset("desk-nano")) == (
+        "img_size=128\nbase_channels=16\nstage_depths=1,1,2,1\nheads=1\nwindow=4\n"
+        "tasks=S,D,N,K,E,R\nreference_task=N\nshared_attention=true\nmlp_ratio=4\n")
+
 
 def test_text_roundtrip_identity():
     cfg = preset("desk-nano")
@@ -248,6 +268,9 @@ def test_unknown_key_is_an_error():
         with pytest.raises(ConfigurationError) as err:
             from_text(f"{key}=4\n")
         assert key in str(err.value)
+    # nor are per-stage head counts: one count doubles per stage
+    with pytest.raises(ConfigurationError, match="unknown config key 'encoder_heads'"):
+        from_text("encoder_heads=1,2,4,8\n")
 
 
 def test_malformed_and_duplicate_lines_rejected():

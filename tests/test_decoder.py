@@ -27,8 +27,7 @@ def _linear(name, c_in, c_out, rng, scale=1.0):
 
 def _small_cfg(**over):
     base = dict(img_size=64, base_channels=8,
-                stage_depths=(1, 1, 2, 1), encoder_heads=(1, 2, 4, 8),
-                decoder_heads=(8, 4, 2, 1), window=2,
+                stage_depths=(1, 1, 2, 1), heads=1, window=2,
                 tasks=("S", "D", "N"), reference_task="N")
     base.update(over)
     return config.ArchConfig(**base)
@@ -302,14 +301,14 @@ def test_shared_mode_stores_qk_only_under_reference():
     assert "decoder.s0.b2.q.weight" not in m.flat
     assert m.flat["decoder.s0.shared.q.weight"].shape == (c0, c0)
     assert m.flat["decoder.s0.shared.bias_table"].shape == ((2 * cfg.window - 1) ** 2,
-                                                           cfg.decoder_heads[0])
+                                                           config.stage_heads(cfg)[-1])
     assert not any(".shared." in name for name in m.stacked)
     k = len(cfg.tasks)
     assert m.flat["decoder.s0.b1.q.weight"].shape == (k, c0, c0)
     assert m.flat["decoder.s0.b1.q.bias"].shape == (k, 1, c0)
     assert m.flat["decoder.s0.b2.ln1.gamma"].shape == (k, 1, c0)
     assert m.flat["decoder.s0.b1.bias_table"].shape == (k, (2 * cfg.window - 1) ** 2,
-                                                        cfg.decoder_heads[0])
+                                                        config.stage_heads(cfg)[-1])
     assert m.flat["decoder.expand0.weight"].shape == (k, c0, 2 * c0)
 
 

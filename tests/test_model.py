@@ -247,9 +247,6 @@ LAYOUT_VARIANTS = {
     "window-2": (replace(_NANO, window=2),
                  "dc7f152d3d15865b73796e66465a3086af9fe6012a13d32fd03064856358d4a6",
                  "fdae52a3383a3ca6096a3286efa1c680893ad2f0e8e2a04f7c6e24143428a1a1"),
-    "decoder-mlp-4": (replace(_NANO, decoder_mlp_ratio=4),
-                      "45d2e51f2a23515aa85cf939ab92b1c2e483f34dca566da4adbd552676e8600a",
-                      "c2f5d512b15a61f67fa65051e701eff42da89b643c4250e09490fad702588676"),
 }
 
 

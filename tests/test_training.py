@@ -22,10 +22,9 @@ from mtformer.training import (RunOptions, budget_hash, check_model_gradients,
 def tiny_cfg(tasks=("S", "D"), shared=True, **overrides):
     """Smallest legal geometry: 32px image, 8 channels, window 1."""
     base = ArchConfig(img_size=32, base_channels=8,
-                      stage_depths=(1, 1, 1, 1), encoder_heads=(1, 2, 4, 8),
-                      decoder_heads=(8, 4, 2, 1), window=1,
+                      stage_depths=(1, 1, 1, 1), heads=1, window=1,
                       tasks=tasks, reference_task=tasks[0],
-                      mlp_ratio=2, decoder_mlp_ratio=2, shared_attention=shared)
+                      mlp_ratio=2, shared_attention=shared)
     return replace(base, **overrides) if overrides else base
 
 
@@ -244,9 +243,10 @@ def test_checkpoint_rejects_bad_version(tmp_path):
 
 def test_checkpoint_rejects_per_task_layout_version_1(tmp_path):
     # version 1 stored one tensor per task decoder, version 2 the patch size,
-    # shift, class count and Adam betas/eps; those files cannot load
+    # shift, class count and Adam betas/eps, version 3 two head tuples and
+    # the decoder MLP ratio; those files cannot load
     path, blob = _valid_ckpt_bytes(tmp_path)
-    for version in (1, 2):
+    for version in (1, 2, 3):
         path.write_bytes(blob[:4] + version.to_bytes(4, "little") + blob[8:])
         with pytest.raises(FormatError, match=f"version {version}"):
             load_checkpoint(path)
@@ -419,14 +419,15 @@ def test_non_finite_loss_names_the_first_task_that_went_bad(monkeypatch):
 
 
 def test_budget_hash_is_unchanged_by_streaming_the_data():
-    # recorded when the hash covered one joined copy of the dataset bytes
+    # recorded from one joined copy of the dataset bytes, with the config
+    # fields of one head count and no decoder MLP ratio
     assert budget_hash(tiny_cfg(), tiny_options(), tiny_data()) == (
-        "467e07f87c283397a31e9887be659bc6870da17874c4d0a6ab34017a61badca4")
-    # recorded when the run options were a mutable bundle train checked
+        "44c20cac3a945dbec20232160a56c9c000b434c37308c3012fbb14f47904223a")
+    # first recorded when the run options were a mutable bundle train checked
     every_field = tiny_options(dtype="float32", balance="inverse-ema", warmup_steps=50,
                                floor_lr=1e-4, weight_decay=0.0)
     assert budget_hash(tiny_cfg(), every_field, tiny_data()) == (
-        "844fa321bdade55f5e1cad586a1ef9e1fd633b392e21e2907c9c02230039ff02")
+        "1060436732ed553218527f765e90de2fe52fda91dd4d125b3dbf50688dc1672e")
 
 
 def test_budget_hash_ignores_ablation_axes_only():
@@ -439,8 +440,7 @@ def test_budget_hash_ignores_ablation_axes_only():
     assert budget_hash(tiny_cfg(reference_task="D"), opts, data) == base
     # every other config field does, and so does the budget and the data
     moved = {"img_size": 64, "base_channels": 16, "stage_depths": (1, 1, 2, 1),
-             "encoder_heads": (1, 2, 4, 4), "decoder_heads": (4, 4, 2, 1),
-             "mlp_ratio": 3, "decoder_mlp_ratio": 3}
+             "heads": 2, "mlp_ratio": 3}
     assert set(moved) | {"window"} == {f.name for f in fields(ArchConfig)} - set(ABLATION_AXES)
     for name, value in moved.items():
         assert budget_hash(tiny_cfg(**{name: value}), opts, data) != base, name
@@ -454,9 +454,9 @@ def test_budget_hash_ignores_ablation_axes_only():
 
 
 def test_config_hash_tracks_every_field():
-    # recorded when the config checked itself only where a consumer asked
+    # recorded when the head tuples became one head count
     assert config_hash(tiny_cfg()) == (
-        "ffde775d1742ca719da62bca236ff15c781d32057541aac68715bb4eb84a8e2f")
+        "3f5a83b348e4c234cc7ae18c1025b1acafa7e1d94a779222cadf76666387774c")
     assert config_hash(tiny_cfg()) != config_hash(tiny_cfg(shared=False))
     assert config_hash(tiny_cfg()) != config_hash(tiny_cfg(tasks=("S",)))
     assert config_hash(tiny_cfg()) == config_hash(tiny_cfg())
@@ -603,10 +603,12 @@ def test_negative_init_and_probe_seeds_are_configuration_errors(monkeypatch):
 @pytest.mark.parametrize("field, value, message", [
     ("steps", -1, "steps must be >= 0, got -1"),
     ("batch_size", 0, "batch size must be >= 1, got 0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
     ("warmup_steps", -1, "need 0 <= warmup (-1) <= total (2000)"),
     ("floor_lr", 1e-4, "need 0 <= floor (0.0001) <= peak (5e-05)"),
     ("floor_lr", -1e-6, "need 0 <= floor (-1e-06) <= peak (5e-05)"),
     ("peak_lr", -1e-3, "need 0 <= floor (0.0) <= peak (-0.001)"),
+    ("weight_decay", -50.0, "weight decay must be >= 0, got -50.0"),
     ("dtype", "float16", "dtype must be float64 or float32, got 'float16'"),
     ("balance", "gradnorm", "unknown balancing mode 'gradnorm'"),
 ])

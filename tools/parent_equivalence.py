@@ -20,12 +20,12 @@ computes, on the desk-nano preset with seed 0 and BLAS pinned to one thread:
 * the bytes of the ``save_checkpoint`` file of that trained model with its
   optimizer state, and every parameter and moment ``load_checkpoint``
   returns from that file;
-* the parameter layout of seven desk-nano variants (shared attention on
-  and off, the reference task first, last and alone, window 2, decoder
-  MLP ratio 4): the tensor names in order and their shapes, from both
-  ``init_params`` and ``empty_params``, and the ``init_params(seed=0)``
-  bytes; and the ``config.count_parameters`` breakdown of every preset
-  with shared attention on and off.
+* the parameter layout of six desk-nano variants (shared attention on
+  and off, the reference task first, last and alone, window 2): the
+  tensor names in order and their shapes, from both ``init_params`` and
+  ``empty_params``, and the ``init_params(seed=0)`` bytes; and the
+  ``config.count_parameters`` breakdown of every preset with shared
+  attention on and off.
 
 It prints, per group, how many tensors are bitwise equal and the largest
 difference max|a - b| over the group's tensors, relative to the largest
@@ -59,7 +59,6 @@ LAYOUT_VARIANTS = {
     "reference-last": {"tasks": ("S", "D"), "reference_task": "D"},
     "one-task": {"tasks": ("N",)},
     "window-2": {"window": 2},
-    "decoder-mlp-4": {"decoder_mlp_ratio": 4},
 }
 
 
