@@ -11,6 +11,7 @@ window shift, class count and the decoder MLP ratio are fixed, not set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -49,6 +50,18 @@ class ArchConfig:
         problems = validate(self)
         if problems:
             raise ConfigurationError("invalid config: " + "; ".join(problems))
+
+
+# each field's kind, which decides how validate checks it and how to_text
+# and from_text write and read it
+_KINDS = {"img_size": "int", "base_channels": "int", "stage_depths": "ints", "heads": "int",
+          "window": "int", "tasks": "tasks", "reference_task": "str",
+          "shared_attention": "bool", "mlp_ratio": "int"}
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy int, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def window_shift(cfg: ArchConfig) -> int:
@@ -92,6 +105,14 @@ def validate(cfg: ArchConfig) -> list:
     """Return every violated constraint as a message; empty list means
     valid.  ``ArchConfig`` runs it on every config it builds."""
     problems = []
+    for name, kind in _KINDS.items():  # the rules below compute with integers
+        value = getattr(cfg, name)
+        if kind == "int" and not is_int(value):
+            problems.append(f"{name} must be an integer, got {value!r}")
+        elif kind == "ints" and not all(map(is_int, value)):
+            problems.append(f"{name} must be integers, got {value!r}")
+    if problems:
+        return problems
     if cfg.img_size < 8 * PATCH or cfg.img_size % (8 * PATCH):  # four integer stage grids
         problems.append(f"img_size must be a positive multiple of {8 * PATCH}, got {cfg.img_size}")
     if cfg.window < 1:
@@ -103,7 +124,7 @@ def validate(cfg: ArchConfig) -> list:
     if cfg.base_channels < 4 or cfg.base_channels % 4:
         problems.append(
             f"base_channels must be a positive multiple of 4 for the head upsampling, got {cfg.base_channels}")
-    if len(cfg.stage_depths) != 4 or any(int(v) < 1 for v in cfg.stage_depths):
+    if len(cfg.stage_depths) != 4 or any(v < 1 for v in cfg.stage_depths):
         problems.append(f"stage_depths must be 4 positive ints, got {cfg.stage_depths}")
     # heads and channels both double per stage, so stage 0 decides every stage
     if cfg.heads < 1 or cfg.base_channels % cfg.heads:
@@ -261,31 +282,30 @@ def count_parameters(cfg: ArchConfig) -> ParamCount:
 
 # ------------------------------------------------------------- serialization
 
-_TUPLE_FIELDS = {"stage_depths"}
-_BOOL_FIELDS = {"shared_attention"}
-_STR_FIELDS = {"reference_task"}
+def _read_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "0", "1", "on", "off"):
+        raise ValueError(text)
+    return text.lower() in ("true", "1", "on")
+
+
+# (write, read) of each kind's text form; read raises ValueError on a bad value
+_TEXT = {
+    "int": (str, int),
+    "ints": (lambda v: ",".join(map(str, v)), lambda text: tuple(int(x) for x in text.split(","))),
+    "tasks": (",".join, lambda text: tuple(x.strip().upper() for x in text.split(",") if x.strip())),
+    "bool": (lambda v: "true" if v else "false", _read_bool),
+    "str": (str, str.upper),
+}
 
 
 def to_text(cfg: ArchConfig) -> str:
     """Flat key=value form, one field per line, declaration order."""
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name in _TUPLE_FIELDS:
-            text = ",".join(str(int(v)) for v in value)
-        elif f.name == "tasks":
-            text = ",".join(value)
-        elif f.name in _BOOL_FIELDS:
-            text = "true" if value else "false"
-        else:
-            text = str(value)
-        lines.append(f"{f.name}={text}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name}={_TEXT[_KINDS[f.name]][0](getattr(cfg, f.name))}\n"
+                   for f in fields(cfg))
 
 
 def from_text(text: str) -> ArchConfig:
     """Parse key=value lines; unknown keys are errors, missing keys keep defaults."""
-    known = {f.name for f in fields(ArchConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -295,23 +315,12 @@ def from_text(text: str) -> ArchConfig:
             raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in _KINDS:
             raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigurationError(f"line {lineno}: duplicate config key {key!r}")
         try:
-            if key in _TUPLE_FIELDS:
-                values[key] = tuple(int(v) for v in val.split(","))
-            elif key == "tasks":
-                values[key] = tuple(v.strip().upper() for v in val.split(",") if v.strip())
-            elif key in _BOOL_FIELDS:
-                if val.lower() not in ("true", "false", "0", "1", "on", "off"):
-                    raise ValueError(val)
-                values[key] = val.lower() in ("true", "1", "on")
-            elif key in _STR_FIELDS:
-                values[key] = val.upper()
-            else:
-                values[key] = int(val)
+            values[key] = _TEXT[_KINDS[key]][1](val)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     return ArchConfig(**values)

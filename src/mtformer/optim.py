@@ -13,13 +13,14 @@ import numpy as np
 from .errors import ConfigurationError, NumericsError
 
 B1, B2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
+WEIGHT_DECAY = 0.05  # default decoupled weight decay of a run and of a fresh state
 
 
 @dataclass
 class OptimState:
     """Moment buffers keyed like the parameter dict, plus the step counter."""
 
-    weight_decay: float = 0.05
+    weight_decay: float = WEIGHT_DECAY
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)

@@ -23,13 +23,13 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import config as cfgmod
-from .config import ArchConfig
+from .config import ArchConfig, is_int
 from .errors import (ConfigurationError, DataError, DimensionError,
                      FormatError, NumericsError)
 from .files import Reader, raw, replace_on_success
 from .losses import combine_losses, per_task_loss, task_weights, update_ema
 from .model import Model, empty_params, forward, init_params
-from .optim import OptimState, adamw_step
+from .optim import WEIGHT_DECAY, OptimState, adamw_step
 from .synthetic import dataset_chunks, read_dataset
 from .tensor import Tape, Tensor, central_difference, mul, zero_grad
 
@@ -54,11 +54,14 @@ class RunOptions:
     peak_lr: float = 5e-5
     warmup_steps: int = 200
     floor_lr: float = 0.0
-    weight_decay: float = 0.05
+    weight_decay: float = WEIGHT_DECAY
     dtype: str = "float64"  # one of DTYPE_NAMES
     balance: str = "static"  # one of BALANCE_MODES
 
     def __post_init__(self):
+        for f in fields(self):  # a field declared int must hold an integer
+            if f.type == "int" and not is_int(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         if self.balance not in BALANCE_MODES:
             raise ConfigurationError(f"unknown balancing mode {self.balance!r}")
         if self.steps < 0:
@@ -271,7 +274,11 @@ def load_checkpoint(path):
             raise FormatError(f"unknown dtype code {code} at offset 8")
         dt = _DTYPES[code]
         (cfg_len,) = r.unpack("<I")
-        cfg = cfgmod.from_text(r.text(cfg_len))
+        cfg_text = r.text(cfg_len)
+        try:
+            cfg = cfgmod.from_text(cfg_text)
+        except ConfigurationError as exc:
+            raise FormatError(f"bad config text at offset {r.off - cfg_len}: {exc}") from exc
         (budget_len,) = r.unpack("<I")
         budget = r.text(budget_len)
         (count,) = r.unpack("<I")

@@ -1,8 +1,10 @@
 """Config tests: presets, validation, parameter accounting, serialization."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mtformer.config import (PRESETS, TASKS, ArchConfig, count_parameters,
@@ -11,6 +13,7 @@ from mtformer.config import (PRESETS, TASKS, ArchConfig, count_parameters,
                              task_channels, to_text, validate, window_shift)
 from mtformer.errors import ConfigurationError
 from mtformer.synthetic import NUM_CLASSES
+from mtformer.training import RunOptions
 
 
 def test_presets_are_valid():
@@ -77,6 +80,29 @@ def test_validation_catches_geometry_violations():
     assert _rejection(window=0, base_channels=18) == (
         "invalid config: window must be >= 1, got 0; "
         "base_channels must be a positive multiple of 4 for the head upsampling, got 18")
+
+
+@pytest.mark.parametrize("build, field, value", [
+    (ArchConfig, "window", 4.0),
+    (ArchConfig, "heads", True),
+    (ArchConfig, "base_channels", 16.0),
+    (ArchConfig, "mlp_ratio", 2.5),
+    (ArchConfig, "stage_depths", (1, 1, 2.5, 1)),
+    (ArchConfig, "img_size", 128.0),
+    (RunOptions, "steps", 2.5),
+    (RunOptions, "steps", True),
+    (RunOptions, "batch_size", 1.5),
+    (RunOptions, "seed", 0.5),
+])
+def test_integer_fields_hold_integers(build, field, value):
+    # a float or bool in an integer field is refused when built, numpy
+    # integers are integers
+    with pytest.raises(ConfigurationError,
+                       match=f"{field} must be (an integer|integers), got {re.escape(repr(value))}$"):
+        build(**{field: value})
+    numpy_value = (tuple(map(np.int64, value)) if isinstance(value, tuple)
+                   else np.int64(value))
+    build(**{field: numpy_value})
 
 
 def test_task_channels():

@@ -138,3 +138,13 @@ def test_only_files_reads_and_writes_raw_bytes():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if (what := _raw_file_access(node))]
     assert not found, f"raw file access outside files.py: {', '.join(found)}"
+
+
+def test_kernels_import_nothing_from_the_package():
+    # kernels.py is a leaf: its kernels can be changed and tested without
+    # the tape or the ops
+    path = SRC / "kernels.py"
+    found = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.ImportFrom) and node.level]
+    assert not found, f"relative imports in kernels.py: {', '.join(found)}"

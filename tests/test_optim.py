@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtformer.errors import ConfigurationError, NumericsError
-from mtformer.optim import CHUNK, OptimState, adamw_step
+from mtformer.optim import CHUNK, WEIGHT_DECAY, OptimState, adamw_step
 from mtformer.training import RunOptions, lr_schedule
 from mtformer.tensor import Tensor
 
@@ -20,6 +20,10 @@ def test_zero_grad_zero_wd_is_identity():
     state = OptimState(weight_decay=0.0)
     adamw_step(p, {"w": np.zeros(3)}, state, lr=0.1)
     assert np.array_equal(p["w"].data, before)
+
+
+def test_run_and_fresh_state_share_the_weight_decay_default():
+    assert RunOptions().weight_decay == OptimState().weight_decay == WEIGHT_DECAY == 0.05
 
 
 def test_zero_grad_decay_shrinks_exactly():

@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from mtformer.config import ABLATION_AXES, ArchConfig
+from mtformer.config import ABLATION_AXES, ArchConfig, from_text
 from mtformer.optim import OptimState, adamw_step
 from mtformer.errors import (ConfigurationError, DataError, DimensionError,
                              FormatError, NumericsError)
@@ -345,6 +345,25 @@ def test_checkpoint_names_the_offset_of_undecodable_text(tmp_path):
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
     assert str(err.value) == f"undecodable text at offset {start + 3}"
+
+
+@pytest.mark.parametrize("good, bad", [
+    (b"img_size=32", b"img_size=3x"),  # not a number
+    (b"img_size=32", b"img_size=31"),  # a number no config takes
+    (b"window=", b"windoW="),  # no such key
+])
+def test_checkpoint_names_the_offset_of_a_bad_config_text(tmp_path, good, bad):
+    path, blob, spans = _ckpt_with_optimizer(tmp_path)
+    start, n = spans["config"]
+    text = blob[start:start + n]
+    assert good in text
+    text = text.replace(good, bad, 1)
+    with pytest.raises(ConfigurationError) as parsed:
+        from_text(text.decode())
+    path.write_bytes(blob[:start] + text + blob[start + n:])
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"bad config text at offset 24: {parsed.value}"
 
 
 def test_missing_moments_are_saved_as_zeros(tmp_path):
