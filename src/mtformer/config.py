@@ -64,6 +64,16 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# what a field of each kind must hold, and how validate names it
+_HOLDS = {
+    "int": (is_int, "an integer"),
+    "ints": (lambda v: isinstance(v, tuple) and all(map(is_int, v)), "a tuple of integers"),
+    "tasks": (lambda v: isinstance(v, tuple) and all(isinstance(t, str) for t in v), "a tuple of strings"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a str"),
+}
+
+
 def window_shift(cfg: ArchConfig) -> int:
     """Cyclic shift of the shifted-window blocks: half a window, rounded down."""
     return cfg.window // 2
@@ -105,12 +115,10 @@ def validate(cfg: ArchConfig) -> list:
     """Return every violated constraint as a message; empty list means
     valid.  ``ArchConfig`` runs it on every config it builds."""
     problems = []
-    for name, kind in _KINDS.items():  # the rules below compute with integers
-        value = getattr(cfg, name)
-        if kind == "int" and not is_int(value):
-            problems.append(f"{name} must be an integer, got {value!r}")
-        elif kind == "ints" and not all(map(is_int, value)):
-            problems.append(f"{name} must be integers, got {value!r}")
+    for name, kind in _KINDS.items():  # the rules below rely on each field's kind
+        holds, what = _HOLDS[kind]
+        if not holds(getattr(cfg, name)):
+            problems.append(f"{name} must be {what}, got {getattr(cfg, name)!r}")
     if problems:
         return problems
     if cfg.img_size < 8 * PATCH or cfg.img_size % (8 * PATCH):  # four integer stage grids

@@ -48,17 +48,17 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: float) -> None:
     """
     if lr < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
-    state.step += 1
-    t = state.step
+    t = state.step + 1
+    gs = [np.asarray(grads[name], dtype=p.data.dtype) for name, p in params.items()]
+    for name, g in zip(params, gs):  # every gradient is checked before anything changes
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):  # finite exactly when all are
+            raise NumericsError(f"non-finite gradient in {name} at optimizer step {t}")
+    state.step = t
     lr = float(lr)
     bias1, bias2 = 1.0 - B1 ** t, 1.0 - B2 ** t
     decay = 1.0 - lr * float(state.weight_decay)
     work: dict = {}  # dtype -> two CHUNK-sized buffers
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=p.data.dtype)
-        # min and max are finite exactly when every element is
-        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-            raise NumericsError(f"non-finite gradient in {name} at optimizer step {t}")
+    for (name, p), g in zip(params.items(), gs):
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)

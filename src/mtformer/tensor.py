@@ -177,28 +177,14 @@ def _from_op(data, parents, backward) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting).
-
-    When the summed axes are one run of axes of a C-contiguous ``g`` (the
-    tokens under a bias, a layer norm's scale and shift or a stacked
-    parameter) the sum is a product with ones, ``ones(1, n) @ g`` per
-    leading slice, or :func:`row_sum` when the run ends ``g``; otherwise
-    numpy sums the leading axes, then the size-1 axes."""
+    """Sum ``g`` down to ``shape``: the leading axes it lacks, then its size-1
+    axes.  numpy adds, not BLAS, so no BLAS thread count changes the bytes."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
-    summed = [i for i, n in enumerate(g.shape)
-              if i < extra or (shape[i - extra] == 1 and n != 1)]
-    lo, hi = summed[0], summed[-1] + 1
-    if hi - lo == len(summed) and g.flags.c_contiguous:
-        lead, n, rest = (math.prod(g.shape[:lo]), math.prod(g.shape[lo:hi]),
-                         math.prod(g.shape[hi:]))
-        if rest == 1:
-            return row_sum(g.reshape(lead, n)).reshape(shape)
-        return (np.ones((1, n), g.dtype) @ g.reshape(lead, n, rest)).reshape(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i - extra for i in summed if i >= extra)
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import struct
 import time
 from dataclasses import astuple, dataclass, fields
@@ -59,9 +60,13 @@ class RunOptions:
     balance: str = "static"  # one of BALANCE_MODES
 
     def __post_init__(self):
-        for f in fields(self):  # a field declared int must hold an integer
-            if f.type == "int" and not is_int(getattr(self, f.name)):
-                raise ConfigurationError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        for f in fields(self):  # an int field holds an integer, a float one a finite number
+            value = getattr(self, f.name)
+            if f.type == "int" and not is_int(value):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                                          and math.isfinite(value)):
+                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
         if self.balance not in BALANCE_MODES:
             raise ConfigurationError(f"unknown balancing mode {self.balance!r}")
         if self.steps < 0:

@@ -98,11 +98,23 @@ def test_integer_fields_hold_integers(build, field, value):
     # a float or bool in an integer field is refused when built, numpy
     # integers are integers
     with pytest.raises(ConfigurationError,
-                       match=f"{field} must be (an integer|integers), got {re.escape(repr(value))}$"):
+                       match=f"{field} must be (an integer|a tuple of integers), got {re.escape(repr(value))}$"):
         build(**{field: value})
     numpy_value = (tuple(map(np.int64, value)) if isinstance(value, tuple)
                    else np.int64(value))
     build(**{field: numpy_value})
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("shared_attention", "no", "a bool"),  # to_text would write it as true
+    ("tasks", "SDN", "a tuple of strings"),
+    ("tasks", ("S", 1), "a tuple of strings"),
+    ("reference_task", 1, "a str"),
+    ("stage_depths", [1, 1, 2, 1], "a tuple of integers"),  # a frozen config must hash
+    ("stage_depths", 4, "a tuple of integers"),
+])
+def test_fields_hold_their_kind(field, value, what):
+    assert _rejection(**{field: value}) == f"invalid config: {field} must be {what}, got {value!r}"
 
 
 def test_task_channels():

@@ -1,8 +1,12 @@
 """Model assembly: parameter registry, initialization, end to end forward."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from mtformer.synthetic import generate_sample
 from mtformer.tensor import Tape, Tensor
 
 RNG = np.random.default_rng(31)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_desk_nano_parameter_total_is_pinned():
@@ -156,6 +161,49 @@ def test_key_biases_get_exactly_zero_gradient(shared):
     assert any(".shared." in n for n in key_biases) == shared
     for name in key_biases:
         assert np.abs(m.flat[name].grad).max() <= 1e-20 * largest, name
+
+
+# one float64 desk-nano sample (forward, combine_losses, backward); prints a
+# digest of each prediction and of each parameter's gradient
+_SAMPLE_DIGESTS = """
+import hashlib
+import numpy as np
+from mtformer import config
+from mtformer.losses import combine_losses, per_task_loss
+from mtformer.model import forward, init_params
+from mtformer.synthetic import generate_sample
+from mtformer.tensor import Tape, Tensor
+
+cfg = config.preset("desk-nano")
+m = init_params(cfg, seed=0)
+sample = generate_sample(0, cfg.img_size)
+with Tape() as tape:
+    preds = forward(m, Tensor(np.asarray(sample.rgb, dtype=np.float64)))
+    tape.backward(combine_losses({t: per_task_loss(t, preds[t], sample.target(t)) for t in cfg.tasks}))
+arrays = {**{"prediction " + t: p.data for t, p in preds.items()},
+          **{"gradient " + n: p.grad for n, p in m.flat.items()}}
+for name, a in arrays.items():
+    print(name, hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: BLAS runs one thread either way, so the comparison proves nothing")
+def test_float64_sample_is_bitwise_equal_at_1_and_2_blas_threads():
+    # a sum that BLAS splits across threads adds in an order the thread
+    # count picks (the 16,384-pixel head bias sums did); no gradient and no
+    # prediction may depend on it
+    def digests(threads):
+        env = {**os.environ, "PYTHONPATH": str(SRC),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _SAMPLE_DIGESTS], env=env, capture_output=True,
+                             text=True, check=True, timeout=300)
+        return dict(line.rsplit(" ", 1) for line in out.stdout.splitlines())
+
+    one, two = digests("1"), digests("2")
+    assert set(one) == set(two) and len(one) == 6 + 269, (len(one), len(two))
+    differ = sorted(name for name in one if one[name] != two[name])
+    assert not differ, differ
 
 
 def test_forward_output_contract():

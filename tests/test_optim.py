@@ -76,6 +76,19 @@ def test_nonfinite_gradient_names_parameter():
         adamw_step(p, {"fine": np.ones(1), "broken": np.ones(1)}, OptimState(), lr=-1.0)
 
 
+def test_nonfinite_gradient_changes_nothing():
+    # the bad tensor comes second: the first must not have been updated yet
+    p = _params(fine=[1.0, 2.0], broken=[1.0])
+    state = OptimState()
+    adamw_step(p, {"fine": np.ones(2), "broken": np.ones(1)}, state, lr=0.1)
+    before = [x.copy() for x in (p["fine"].data, p["broken"].data, *state.m.values(), *state.v.values())]
+    with pytest.raises(NumericsError, match="broken at optimizer step 2"):
+        adamw_step(p, {"fine": np.ones(2), "broken": np.array([np.inf])}, state, lr=0.1)
+    after = (p["fine"].data, p["broken"].data, *state.m.values(), *state.v.values())
+    assert state.step == 1
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 def test_adam_converges_on_quadratic():
     p = _params(w=[5.0])
     state = OptimState(weight_decay=0.0)

@@ -561,9 +561,9 @@ def test_integer_input_promotes_to_float64():
 # Each kernel must compute bitwise what its plain numpy expression computes,
 # forward and backward; the oracles below are those expressions, written
 # out without in-place updates or reused buffers.  A sum or mean over the
-# last axis is one matrix-vector product with ones (_rows), and a sum over
-# the tokens under a bias or layer-norm scale one product with a row of
-# ones (_tokens), as the kernels compute them.
+# last axis is one matrix-vector product with ones (_rows), as the kernels
+# compute it, and a sum over the tokens under a bias or layer-norm scale is
+# numpy's sum (_tokens).
 
 def _rows(x):
     """Sum over the last axis, keepdims: ``x.reshape(-1, n) @ ones(n)``."""
@@ -572,19 +572,15 @@ def _rows(x):
 
 
 def _tokens(g, shape):
-    """Sum a contiguous ``g`` down to ``shape``.  The summed axes are one run
-    of n terms: every leading axis ``shape`` lacks, or the token axis of a
-    stacked [k, n, c] under a [k, 1, c] parameter.  They sum as ``ones(1, n)
-    @ g`` per slice before the run, or as ``_rows`` when nothing follows it."""
-    if g.shape == shape:
-        return g
-    if g.ndim == len(shape):
-        k, n, c = g.shape
-    else:
-        k, n, c = 1, math.prod(g.shape[:g.ndim - len(shape)]), math.prod(shape)
-    g = g.reshape(k, n, c)
-    out = _rows(g[..., 0]) if c == 1 else np.ones((1, n), g.dtype) @ g
-    return out.reshape(shape)
+    """Sum ``g`` down to ``shape`` in numpy's two steps: every leading axis
+    ``shape`` lacks, then, with keepdims, the token axis of a stacked
+    [k, n, c] under a [k, 1, c] parameter.  A step with no axis to sum is
+    skipped: a sum over no axes would turn -0.0 into 0.0."""
+    lead = tuple(range(g.ndim - len(shape)))
+    if lead:
+        g = g.sum(axis=lead)
+    tokens = tuple(i for i, n in enumerate(shape) if n != g.shape[i])
+    return g.sum(axis=tokens, keepdims=True) if tokens else g
 
 
 def _value_and_grads(fn, inputs, upstream):
@@ -716,8 +712,8 @@ def test_take_rows_single_row_gradient_matches_scatter_add():
 
 
 # ------------------------------------------------- token sums
-# the sums under a bias or scale add in BLAS's order, as the row sums do,
-# and are held to the same bound (see test_kernels.py)
+# the sums under a bias or scale are numpy's sums, held to the same bound
+# as the row sums (see test_kernels.py)
 
 @PROPERTY
 @given(_rows_of(), st.booleans())

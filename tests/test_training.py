@@ -628,6 +628,12 @@ def test_negative_init_and_probe_seeds_are_configuration_errors(monkeypatch):
     ("floor_lr", -1e-6, "need 0 <= floor (-1e-06) <= peak (5e-05)"),
     ("peak_lr", -1e-3, "need 0 <= floor (0.0) <= peak (-0.001)"),
     ("weight_decay", -50.0, "weight decay must be >= 0, got -50.0"),
+    # NaN passes every comparison above, and train would die at step 1
+    ("weight_decay", float("nan"), "weight_decay must be a finite number, got nan"),
+    ("peak_lr", float("inf"), "peak_lr must be a finite number, got inf"),
+    ("peak_lr", "1e-3", "peak_lr must be a finite number, got '1e-3'"),
+    ("floor_lr", -float("inf"), "floor_lr must be a finite number, got -inf"),
+    ("floor_lr", False, "floor_lr must be a finite number, got False"),
     ("dtype", "float16", "dtype must be float64 or float32, got 'float16'"),
     ("balance", "gradnorm", "unknown balancing mode 'gradnorm'"),
 ])

@@ -27,12 +27,20 @@ computes, on the desk-nano preset with seed 0 and BLAS pinned to one thread:
   ``config.count_parameters`` breakdown of every preset with shared
   attention on and off.
 
+On a machine with two CPUs or more it runs this checkout's worker once
+more with BLAS on two threads, and prints one ``threads`` line naming every
+array that differs from the one-thread run; the BLAS work is in the
+gradient, prediction and ``train`` groups, and the checkpoint groups
+inherit the trained model.  On one CPU that line says the check proves
+nothing.
+
 It prints, per group, how many tensors are bitwise equal and the largest
 difference max|a - b| over the group's tensors, relative to the largest
 magnitude max|a| of any tensor in the group under ``<rev>``, naming the
 tensor where it occurs; then one line per tensor that is not bitwise
 equal, relative to the same scale.  Exit status 0 means every tensor is
-bitwise equal (same dtype, shape and bytes).
+bitwise equal (same dtype, shape and bytes) to the parent's and to the
+two-thread run's.
 """
 
 from __future__ import annotations
@@ -150,12 +158,31 @@ def _worker(out_path: str) -> None:
     np.savez(out_path, **arrays)
 
 
-def _run_worker(src: Path, out: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def _run_worker(src: Path, out: Path, threads: int = 1) -> dict:
+    n = str(threads)
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=n,
+               OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
     subprocess.run([sys.executable, __file__, "--worker", str(out)], env=env, check=True)
     with np.load(out) as f:
         return {k: f[k] for k in f.files}
+
+
+def compare_threads(one: dict, two: dict) -> bool:
+    """Print the ``threads`` line: every array this checkout computes
+    differently at 1 and at 2 BLAS threads."""
+    differ = [k for k in sorted(set(one) | set(two))
+              if k not in one or k not in two or not _bitwise(one[k], two[k])]
+    if differ:
+        print(f"threads: {len(differ)} arrays differ between 1 and 2 BLAS threads -> DIFFERENT")
+        print("\n".join(f"    {k}" for k in differ))
+    else:
+        print(f"threads: all {len(one)} arrays bitwise equal at 1 and 2 BLAS threads")
+    return not differ
+
+
+def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -184,7 +211,7 @@ def compare(parent: dict, change: dict) -> bool:
                              f"{'the parent' if key in parent else 'this checkout'}")
                 continue
             a, b = parent[key], change[key]
-            if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+            if _bitwise(a, b):
                 equal += 1
                 continue
             diff = _abs_diff(a, b)
@@ -221,7 +248,12 @@ def main(argv=None) -> int:
         print(f"parent: {args.rev} ({tmp / 'parent' / 'src'}); change: {REPO / 'src'}")
         parent = _run_worker(tmp / "parent" / "src", tmp / "parent.npz")
         change = _run_worker(REPO / "src", tmp / "change.npz")
-        return 0 if compare(parent, change) else 1
+        equal = compare(parent, change)
+        if (os.cpu_count() or 1) < 2:
+            print("threads: one CPU, so 2 BLAS threads run as 1 and this group proves nothing")
+        else:
+            equal &= compare_threads(change, _run_worker(REPO / "src", tmp / "threads.npz", 2))
+        return 0 if equal else 1
 
 
 if __name__ == "__main__":
