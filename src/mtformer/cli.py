@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import config as cfgmod
+# before numpy loads: train runs two threads of its own, and a threaded BLAS
+# would compete with them for the same cores; a value the user set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from . import config as cfgmod  # noqa: E402  (every import below loads numpy)
 from .ablation import ablate, shared_comparison
 from .config import count_parameters
 from .errors import (ConfigurationError, DataError, DimensionError,

@@ -8,24 +8,29 @@ order, so walking them in reverse is a valid topological order and visits
 every recorded op exactly once.  A record keeps only what its backward
 reads (see :class:`Tape`): a tape pins no output and no operand a later
 gradient does not need, so an activation dies as soon as neither the
-caller nor a backward closure holds it.  Backward frees each gradient once
-its record has consumed it and writes ``.grad`` only to leaves (tensors no
-record on the tape produced, such as parameters) and to the loss;
-intermediate tensors keep ``.grad is None``.  ``.grad`` is an accumulator:
-the first write is a private copy, later backward passes add into that
-same array in place, so call :func:`zero_grad` between optimizer steps.
+caller nor a backward closure holds it.  Backward sweeps a tape once: it
+frees each record and each gradient as soon as it has consumed them, and
+writes ``.grad`` only to leaves (tensors no record on the tape produced,
+such as parameters) and to the loss; intermediate tensors keep ``.grad is
+None``.  ``.grad`` is an accumulator: the first write is a private copy,
+later writes add into that same array in place, from this tape or from the
+next, so call :func:`zero_grad` between optimizer steps.
 
-Everything here is single threaded.  Tensors are treated as immutable once
-created; the finite-difference probe perturbs one element in place and
-restores it, which is the one sanctioned exception.  Kernels write in place
-only into arrays they allocated themselves, never into an input or an
-incoming gradient, which other records may share.
+A tape belongs to the thread that opened it: each thread records on its own
+innermost open tape, so two threads can tape two forwards at once.  A tape
+may be swept on another thread once its forward has returned; backward
+closures run no ops, so a sweep records nothing.  Tensors are treated as
+immutable once created; the finite-difference probe perturbs one element in
+place and restores it, which is the one sanctioned exception.  Kernels
+write in place only into arrays they allocated themselves, never into an
+input or an incoming gradient, which other records may share.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -42,11 +47,15 @@ __all__ = [
 NORM_EPS = 1e-5  # added to the variance in layer_norm
 
 
+_open = threading.local()  # .tape: this thread's innermost open Tape
+
+
 class Tape:
     """Execution-ordered record of differentiable ops.
 
     Use as a context manager; ops run outside any tape compute values only,
-    which is how inference paths avoid graph bookkeeping.
+    which is how inference paths avoid graph bookkeeping.  Ops record on the
+    innermost tape their own thread has open.
 
     A record is ``(parents, backward)``.  ``parents`` has one entry per
     operand: the index on this tape of the record that produced it, the
@@ -62,63 +71,69 @@ class Tape:
     leaf on any other.
     """
 
-    current: "Tape | None" = None
     _serials = itertools.count()
 
     def __init__(self) -> None:
         self._records: list = []
         self._serial = next(Tape._serials)
+        self._swept = False
 
     def __enter__(self) -> "Tape":
-        self._outer = Tape.current
-        Tape.current = self
+        self._outer = getattr(_open, "tape", None)
+        _open.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        Tape.current = self._outer
+        _open.tape = self._outer
         return False
 
     def __len__(self) -> int:
+        """The number of records made, also after a sweep has freed them."""
         return len(self._records)
 
     def backward(self, loss: "Tensor") -> int:
         """Reverse replay from ``loss``; returns the number of records visited.
 
-        Each output's gradient is dropped as soon as its record has consumed
-        it, so only the frontier of the sweep stays alive.  What remains at
-        the end belongs to tensors no record on this tape produced (the
-        leaves); those, and ``loss`` with its seed of ones, accumulate into
-        ``.grad``: a first write stores a copy (one gradient array may reach
-        several leaves), later writes add into it in place.  Intermediate
-        tensors' ``.grad`` is never written.
+        The sweep is one-shot: each record is freed (its slot set to None)
+        as soon as the sweep has passed it, and each output's gradient as
+        soon as its record has consumed it, so only the frontier of the
+        sweep stays alive and a second ``backward`` on this tape raises
+        ``DataError``.  A gradient for a tensor no record on this tape
+        produced (a leaf) goes into its ``.grad`` at once, and ``loss`` gets
+        its seed of ones: a first write stores a copy (one gradient array
+        may reach several leaves), later writes add into it in place.
+        Intermediate tensors' ``.grad`` is never written.
         """
+        if self._swept:
+            raise DataError("this tape was already swept; a tape can be swept once")
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
             raise DataError("loss does not depend on any tensor that requires grad")
+        self._swept = True
+        records = self._records
         seed = np.ones_like(loss.data)
-        grads = {}  # record index, or leaf Tensor (held by a record) -> gradient
+        grads = {}  # record index -> gradient of that record's output
         node = loss._node
         if node is not None and node[0] == self._serial:
             grads[node[1]] = seed
-        for index in reversed(range(len(self._records))):
+        for index in reversed(range(len(records))):
+            record, records[index] = records[index], None
             g = grads.pop(index, None)
             if g is None:
                 continue  # op does not feed this loss
-            parents, backward = self._records[index]
+            parents, backward = record
             for parent, pg in zip(parents, backward(g)):
                 if parent is None or pg is None:
+                    continue
+                if isinstance(parent, Tensor):
+                    _accumulate(parent, pg)
                     continue
                 prev = grads.get(parent)
                 # never mutate a stored array in place; closures may alias them
                 grads[parent] = pg if prev is None else prev + pg
-        grads[loss] = seed  # every index was popped: only leaves remain
-        for tensor, g in grads.items():
-            if tensor.grad is None:
-                tensor.grad = g.astype(tensor.data.dtype, copy=True)
-            else:
-                tensor.grad += g
-        return len(self._records)
+        _accumulate(loss, seed)
+        return len(records)
 
     def _parent(self, t: "Tensor"):
         """How a record names operand ``t``: see the class docstring."""
@@ -126,6 +141,14 @@ class Tape:
             return None
         node = t._node
         return node[1] if node is not None and node[0] == self._serial else t
+
+
+def _accumulate(t: "Tensor", g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``; a first write stores a private copy."""
+    if t.grad is None:
+        t.grad = g.astype(t.data.dtype, copy=True)
+    else:
+        t.grad += g
 
 
 class Tensor:
@@ -169,7 +192,7 @@ def _ensure(x, like: Tensor | None = None) -> Tensor:
 def _from_op(data, parents, backward) -> Tensor:
     req = any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)
-    tape = Tape.current
+    tape = getattr(_open, "tape", None)
     if req and tape is not None:
         out._node = (tape._serial, len(tape._records))
         tape._records.append((tuple(tape._parent(p) for p in parents), backward))
@@ -589,7 +612,6 @@ def grad_check(f, x: Tensor) -> float:
     if not np.isfinite(y.data).all():
         raise OracleError("f(x) is not finite at the probe point")
     tape.backward(y)
-    del tape  # its records pin f's intermediates through every probe below
     if x.grad is None:
         raise OracleError("f(x) does not depend on the probe tensor")
     analytic = x.grad.copy()

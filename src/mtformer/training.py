@@ -3,6 +3,10 @@
 A step draws a batch (with replacement, seeded), runs one forward/backward
 per sample with the loss scaled by 1/batch so gradients accumulate into a
 true batch mean, then applies one optimizer update at the scheduled rate.
+The samples of a step run as a two-stage pipeline: a worker thread tapes
+the next sample's forward while the calling thread sweeps this sample's
+tape, and the sweeps run in pick order, so ``.grad`` adds up exactly as a
+serial loop adds it.
 Every step appends one metrics record; after the last step a final record
 holds per-task means over the whole training split under the final
 parameters, which ``evaluate`` reproduces exactly.  ``RunOptions`` holds a
@@ -19,6 +23,7 @@ import math
 import numbers
 import struct
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -157,13 +162,14 @@ def sample_losses(model: Model, sample) -> dict:
     return {t: per_task_loss(t, preds[t], sample.target(t)) for t in model.cfg.tasks}
 
 
-def _step_losses(model: Model, sample, weights: dict, batch_scale: float):
-    """Forward/backward for one sample; returns float task losses and total."""
+def _taped_forward(model: Model, sample, weights: dict, batch_scale: float):
+    """Taped forward of one sample, up to its loss scaled by ``batch_scale``;
+    returns the tape, that loss, the float task losses and their total."""
     with Tape() as tape:
         losses = sample_losses(model, sample)
         total = combine_losses(losses, weights)
-        tape.backward(mul(total, batch_scale))
-    return {t: float(v.data) for t, v in losses.items()}, float(total.data)
+        scaled = mul(total, batch_scale)
+    return tape, scaled, {t: float(v.data) for t, v in losses.items()}, float(total.data)
 
 
 def train(cfg: ArchConfig, data, options: RunOptions,
@@ -184,35 +190,43 @@ def train(cfg: ArchConfig, data, options: RunOptions,
 
     metrics = []
     started = time.perf_counter()
-    for step in range(options.steps):
-        lr = lr_schedule(step, options)
-        zero_grad(model.flat.values())
-        picks = rng.integers(0, len(samples), options.batch_size)
-        weights = task_weights(cfg.tasks, ema)
-        sums = {t: 0.0 for t in cfg.tasks}
-        total_sum = 0.0
-        for idx in picks:
-            per_task, total = _step_losses(
-                model, samples[idx], weights, 1.0 / options.batch_size)
-            for t, v in per_task.items():
-                sums[t] += v
-            total_sum += total
-        mean_total = total_sum / options.batch_size
-        means = {t: sums[t] / options.batch_size for t in cfg.tasks}
-        if not np.isfinite(mean_total):
-            bad = [t for t in cfg.tasks if not np.isfinite(means[t])]
-            raise NumericsError(f"non-finite loss at step {step}"
-                                + (f" in task {bad[0]}" if bad else ""))
-        if ema is not None:
-            update_ema(ema, means)
-        grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for name, p in model.flat.items()}
-        adamw_step(model.flat, grads, opt, lr)
-        metrics.append({
-            "step": step, "lr": lr, "total": mean_total,
-            "losses": means,
-            "weights": weights,
-        })
+    # one worker tapes forwards: the parameters change only in adamw_step,
+    # after the step's last forward has returned
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for step in range(options.steps):
+            lr = lr_schedule(step, options)
+            zero_grad(model.flat.values())
+            picks = rng.integers(0, len(samples), options.batch_size)
+            weights = task_weights(cfg.tasks, ema)
+            scale = 1.0 / options.batch_size
+            sums = {t: 0.0 for t in cfg.tasks}
+            total_sum = 0.0
+            pending = worker.submit(_taped_forward, model, samples[picks[0]], weights, scale)
+            for j in range(options.batch_size):
+                tape, scaled, per_task, total = pending.result()
+                if j + 1 < options.batch_size:  # the next forward runs beside this sweep
+                    pending = worker.submit(_taped_forward, model, samples[picks[j + 1]],
+                                            weights, scale)
+                tape.backward(scaled)
+                for t, v in per_task.items():
+                    sums[t] += v
+                total_sum += total
+            mean_total = total_sum / options.batch_size
+            means = {t: sums[t] / options.batch_size for t in cfg.tasks}
+            if not np.isfinite(mean_total):
+                bad = [t for t in cfg.tasks if not np.isfinite(means[t])]
+                raise NumericsError(f"non-finite loss at step {step}"
+                                    + (f" in task {bad[0]}" if bad else ""))
+            if ema is not None:
+                update_ema(ema, means)
+            grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data)
+                     for name, p in model.flat.items()}
+            adamw_step(model.flat, grads, opt, lr)
+            metrics.append({
+                "step": step, "lr": lr, "total": mean_total,
+                "losses": means,
+                "weights": weights,
+            })
     zero_grad(model.flat.values())  # the last step's gradients are spent
 
     final = evaluate(model, samples)
@@ -345,7 +359,6 @@ def check_model_gradients(model: Model, sample, samples_per_tensor: int = 1,
     zero_grad(model.flat.values())
     with Tape() as tape:
         tape.backward(combine_losses(sample_losses(model, sample)))
-    del tape  # its records pin the sample's activations through every probe below
 
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -1,6 +1,10 @@
 """End-to-end command line coverage on tiny configs and datasets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +260,20 @@ def test_bad_preset_name_is_reported(capsys):
     code = main(["params", "--preset", "desk-mega"])
     assert code == 2
     assert "desk-mega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1 1"), ("3", "3 3")],
+                         ids=["unset", "user-set"])
+def test_cli_pins_blas_to_one_thread_unless_the_user_set_it(preset, expected):
+    # train's two threads and a threaded BLAS would share the same cores
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = ("import os, mtformer.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == expected

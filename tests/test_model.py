@@ -127,6 +127,23 @@ def test_taped_sample_records_at_most_740_ops():
     assert len(tape) <= 740, len(tape)
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+def test_each_parameter_is_read_by_exactly_one_record(shared):
+    # a sweep adds a leaf's gradient into .grad as soon as it has it; with
+    # one gradient per parameter per tape, that is one add per sample, in
+    # the order a sum over the tape's gradients would add them
+    cfg = replace(config.preset("desk-nano"), shared_attention=shared)
+    m = init_params(cfg, seed=0)
+    tape, _ = _taped_loss(cfg, m, generate_sample(0, cfg.img_size))
+    reads = {}
+    for parents, _ in tape._records:
+        for parent in parents:
+            if isinstance(parent, Tensor):
+                reads[id(parent)] = reads.get(id(parent), 0) + 1
+    assert len(reads) == len(m.flat)
+    assert [reads.get(id(p)) for p in m.flat.values()] == [1] * len(m.flat)
+
+
 def test_one_taped_sample_pins_at_most_60_mib():
     # a tape keeps only what its backward closures read: 55 MiB for one
     # desk-nano sample, against 98 MiB when every record held its output

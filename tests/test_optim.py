@@ -168,6 +168,22 @@ def test_adamw_matches_reference_formula_bitwise(dtype):
         assert state.v[k].tobytes() == v2[k].tobytes(), k
 
 
+def test_non_contiguous_array_changes_nothing():
+    # every array is checked before the first update: a bad second tensor
+    # leaves the first one, its moments and the step count as they were
+    p = _params(a=np.ones(3))
+    state = OptimState()
+    adamw_step(p, {"a": np.ones(3)}, state, lr=0.1)
+    p["b"] = Tensor(np.ones((3, 4)).T, requires_grad=True)
+    before = [x.copy() for x in (p["a"].data, state.m["a"], state.v["a"])]
+    with pytest.raises(ConfigurationError, match="C-contiguous arrays for b"):
+        adamw_step(p, {"a": np.ones(3), "b": np.ones((4, 3))}, state, lr=0.1)
+    assert state.step == 1
+    assert set(state.m) == set(state.v) == {"a"}
+    after = (p["a"].data, state.m["a"], state.v["a"])
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
+
+
 def test_adamw_rejects_non_contiguous_parameters():
     # a flat view of a transposed array would be a copy and drop the update
     p = {"w": Tensor(np.arange(6.0).reshape(2, 3).T, requires_grad=True)}

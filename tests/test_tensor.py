@@ -2,8 +2,10 @@
 
 import gc
 import math
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -278,11 +280,15 @@ def test_tape_reverse_replay_visits_every_record_once():
 
 def test_backward_accumulates_additively():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with Tape() as tape:
-        y = T.sum_(T.mul(x, x))
-        tape.backward(y)
-        once = x.grad.copy()
-        tape.backward(y)
+
+    def sweep():  # the same computation, on a new tape each time
+        with Tape() as tape:
+            y = T.sum_(T.mul(x, x))
+            tape.backward(y)
+
+    sweep()
+    once = x.grad.copy()
+    sweep()
     np.testing.assert_array_equal(x.grad, 2.0 * once)
     T.zero_grad([x])
     assert x.grad is None
@@ -292,12 +298,16 @@ def test_second_backward_accumulates_into_grad_bitwise():
     rng = np.random.default_rng(14)
     x = _rand(rng, 3, 4)
     w = Tensor(rng.normal(size=(4, 4)))
-    with Tape() as tape:
-        loss = T.sum_(T.gelu(T.matmul(x, w)))
-        tape.backward(loss)
-        g1 = x.grad.copy()
-        held = x.grad
-        tape.backward(loss)
+
+    def sweep():  # the same computation, on a new tape each time
+        with Tape() as tape:
+            loss = T.sum_(T.gelu(T.matmul(x, w)))
+            tape.backward(loss)
+
+    sweep()
+    g1 = x.grad.copy()
+    held = x.grad
+    sweep()
     assert x.grad is held, ".grad is an accumulator, updated in place"
     assert x.grad.tobytes() == (g1 + g1).tobytes()
 
@@ -308,13 +318,70 @@ def test_one_gradient_array_reaching_two_leaves_gives_distinct_grads():
     a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     b = Tensor(np.array([0.5, 0.25, -1.0]), requires_grad=True)
     up = Tensor(np.array([2.0, -1.0, 0.5]))
-    with Tape() as tape:
-        loss = T.sum_(T.mul(T.add(a, b), up))
-        tape.backward(loss)
+    for _ in range(2):  # the same computation on two tapes
+        with Tape() as tape:
+            loss = T.sum_(T.mul(T.add(a, b), up))
+            tape.backward(loss)
         assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
-        tape.backward(loss)
     np.testing.assert_array_equal(a.grad, 2.0 * up.data)
     np.testing.assert_array_equal(b.grad, 2.0 * up.data)
+
+
+def test_a_tape_is_swept_once():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        y = T.sum_(T.mul(x, x))
+        tape.backward(y)
+        with pytest.raises(DataError, match="swept once"):
+            tape.backward(y)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])  # the refused sweep added nothing
+
+
+def test_the_sweep_frees_each_record_it_passes():
+    # gelu's record holds the product it reads; the sweep drops that record,
+    # so the product dies while the tape object still lives
+    rng = np.random.default_rng(18)
+    x = _rand(rng, 3, 4)
+    w = _rand(rng, 4, 4)
+    with Tape() as tape:
+        h = T.matmul(x, w)
+        loss = T.sum_(T.gelu(h))
+    product = weakref.ref(h.data)
+    del h
+    assert product() is not None, "the gelu record reads the product"
+    tape.backward(loss)
+    assert product() is None
+    assert len(tape) == 3, "len counts the records made, also once freed"
+
+
+def test_two_threads_record_on_their_own_tapes():
+    # each thread records on the tape it opened, even while the other
+    # thread's tape is open; the barrier interleaves their ops
+    rng = np.random.default_rng(19)
+    w = _rand(rng, 4, 4)
+    inputs = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
+    barrier = threading.Barrier(2)
+
+    def taped(x, wait=barrier.wait):
+        with Tape() as tape:
+            h = x
+            for _ in range(3):
+                wait()
+                h = T.gelu(T.matmul(h, w))
+            loss = T.sum_(h)
+        return tape, loss
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        tapes = list(pool.map(taped, inputs))
+    assert [len(tape) for tape, _ in tapes] == [7, 7]
+    for tape, loss in tapes:
+        tape.backward(loss)
+    threaded = w.grad.copy()
+    w.grad = None
+    for x in inputs:  # the serial run
+        tape, loss = taped(x, wait=lambda: None)
+        tape.backward(loss)
+    assert threaded.tobytes() == w.grad.tobytes()
 
 
 def test_replay_is_bitwise_deterministic():

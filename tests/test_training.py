@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -396,6 +397,69 @@ def test_checkpoint_save_copies_no_tensor(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < largest
+
+
+def _serial_train(cfg, samples, options):
+    """The training loop written out serially over the public API: one
+    sample's forward, then its backward, then the next sample."""
+    from mtformer.losses import combine_losses, task_weights, update_ema
+    from mtformer.model import init_params
+    from mtformer.tensor import Tape, mul, zero_grad
+    from mtformer.training import sample_losses
+    model = init_params(cfg, seed=options.seed, dtype=options.dtype)
+    opt = OptimState(weight_decay=options.weight_decay)
+    ema = {} if options.balance == "inverse-ema" else None
+    rng = np.random.default_rng(options.seed)
+    metrics = []
+    for step in range(options.steps):
+        lr = lr_schedule(step, options)
+        zero_grad(model.flat.values())
+        weights = task_weights(cfg.tasks, ema)
+        sums, total_sum = {t: 0.0 for t in cfg.tasks}, 0.0
+        for idx in rng.integers(0, len(samples), options.batch_size):
+            with Tape() as tape:
+                losses = sample_losses(model, samples[idx])
+                total = combine_losses(losses, weights)
+                tape.backward(mul(total, 1.0 / options.batch_size))
+            for t, v in losses.items():
+                sums[t] += float(v.data)
+            total_sum += float(total.data)
+        means = {t: sums[t] / options.batch_size for t in cfg.tasks}
+        if ema is not None:
+            update_ema(ema, means)
+        adamw_step(model.flat, {n: p.grad for n, p in model.flat.items()}, opt, lr)
+        metrics.append({"step": step, "lr": lr, "total": total_sum / options.batch_size,
+                        "losses": means, "weights": weights})
+    return model, opt, metrics
+
+
+@pytest.mark.parametrize("balance", ["static", "inverse-ema"])
+def test_pipelined_train_equals_a_serial_loop_bitwise(balance):
+    # train tapes the next sample's forward on a worker while it sweeps this
+    # one; the sweeps run in pick order, so nothing may differ from a loop
+    # that runs each sample's forward and backward in turn
+    cfg, data = tiny_cfg(tasks=("S", "D", "N")), tiny_data()
+    options = tiny_options(steps=2, batch_size=3, balance=balance)
+    result = train(cfg, data, options)
+    model, opt, metrics = _serial_train(cfg, data, options)
+    assert result.metrics[:-1] == metrics
+    assert result.optim.step == opt.step == 2
+    for name, p in model.flat.items():
+        assert result.model.flat[name].data.tobytes() == p.data.tobytes(), name
+        assert result.optim.m[name].tobytes() == opt.m[name].tobytes(), name
+        assert result.optim.v[name].tobytes() == opt.v[name].tobytes(), name
+
+
+def test_a_forward_that_raises_on_the_worker_raises_from_train():
+    # only the first sample's image size is checked up front; a later one
+    # fails in its own forward, on the worker thread, and no thread
+    # outlives train
+    data = tiny_data()
+    data[1:] = [replace(s, rgb=np.resize(s.rgb, (64, 64, 3))) for s in data[1:]]
+    threads = threading.active_count()
+    with pytest.raises(DimensionError, match="does not match configured size"):
+        train(tiny_cfg(), data, tiny_options(steps=2, batch_size=3))
+    assert threading.active_count() == threads
 
 
 def test_train_rejects_empty_and_mismatched_data():
