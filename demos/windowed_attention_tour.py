@@ -4,12 +4,13 @@ Attention here never runs over the whole image; tokens are grouped into
 non-overlapping square windows, and alternating blocks cyclically roll the
 grid so information crosses window borders.  The roll drags distant pixels
 next to each other across the wrap seam, and the shift mask forbids exactly
-those pairs.
+those pairs.  The model never rolls or cuts a map itself: it gathers its
+row-major tokens once through the grid's cached ``window_order``.
 """
 
 import numpy as np
 
-from mtformer.layers import attention_weights
+from mtformer.layers import attention_weights, window_order
 from mtformer.tensor import Tensor
 from mtformer.windowing import (WindowGrid, cyclic_shift, shift_mask,
                                 window_partition, window_reverse)
@@ -23,14 +24,17 @@ print(f"8x8 grid -> {wins.shape[0]} windows of {wins.shape[1]} tokens")
 print("reverse is exact:", np.array_equal(window_reverse(wins, 8, 8).data, x.data))
 
 # the shift mask in ASCII: one window of a rolled 4x4 grid, window 2, shift 1.
-# rows and columns are tokens; '.' may attend, 'x' is blocked
+# rows and columns are tokens; '.' may attend, 'x' is blocked.  Next to it,
+# the map positions (row-major token ids 0..15) the gather puts in each window
 grid = WindowGrid(4, 4, 2, 1)
 mask = shift_mask(grid).data
-print("\nper-window blocked pairs after the roll:")
+order, inverse = window_order(grid)
+print("\nper-window blocked pairs after the roll, and the tokens gathered:")
 for w in range(mask.shape[0]):
     rows = ["".join("." if mask[w, a, b] == 0 else "x" for b in range(4))
             for a in range(4)]
-    print(f"  window {w}: " + "  ".join(rows))
+    print(f"  window {w}: " + "  ".join(rows) + f"   tokens {order[4 * w:4 * w + 4].tolist()}")
+print(f"inverse gather back to map order: {inverse.tolist()}")
 
 # masked pairs get probability ~0 but rows still sum to one.  Layers read
 # their parameters by name from one flat dict; "demo" is this block's prefix

@@ -19,9 +19,10 @@ from __future__ import annotations
 from .config import (PATCH, ArchConfig, decoder_channels, stage_grids,
                      task_channels, window_shift)
 from .errors import DimensionError
-from .layers import attention_block, attention_weights, linear, shifted_windows
-from .tensor import (Tensor, add, div, matmul, mul, reshape, sigmoid,
-                     softmax_lastdim, sqrt, sum_, swapaxes)
+from .layers import (attention_block, attention_weights, linear, shifted_windows,
+                     window_order)
+from .tensor import (Tensor, add, div, matmul, mul, permute_tokens, reshape,
+                     sigmoid, softmax_lastdim, sqrt, sum_)
 from .windowing import WindowGrid
 
 
@@ -30,16 +31,16 @@ def patch_expand(x: Tensor, side: int, w: Tensor) -> Tensor:
 
     Bias-free projection C -> 2C, then each token's 2C channels fill its
     2x2 output block row major: chunk 0 -> (0,0), 1 -> (0,1), 2 -> (1,0),
-    3 -> (1,1), each chunk C/2 wide.  Exact inverse layout of patch_merge.
+    3 -> (1,1), each chunk C/2 wide: the window-2 windows of the doubled
+    grid, gathered back to map order, so the inverse of patch_merge's layout.
     """
     *lead, n, c = x.shape
     if n != side * side:
         raise DimensionError(f"{n} tokens do not fill grid {side}x{side}")
     if w.shape[-2:] != (c, 2 * c):
         raise DimensionError(f"patch_expand weight {w.shape} must be ({c}, {2 * c})")
-    lead = tuple(lead)
-    t = reshape(matmul(x, w), lead + (side, side, 2, 2, c // 2))
-    return reshape(swapaxes(t, -4, -3), lead + (4 * n, c // 2))
+    t = reshape(matmul(x, w), tuple(lead) + (4 * n, c // 2))
+    return permute_tokens(t, *window_order(WindowGrid(2 * side, 2 * side, 2))[::-1])
 
 
 def shared_attention(x: Tensor, skip: Tensor, p: dict, name: str,

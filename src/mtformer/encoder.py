@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from .config import PATCH, ArchConfig, stage_grids, window_shift
 from .errors import DimensionError
-from .layers import attention_block, linear, norm
-from .tensor import Tensor, matmul, reshape, transpose
+from .layers import attention_block, linear, norm, window_order
+from .tensor import Tensor, matmul, permute_tokens, reshape
 from .windowing import WindowGrid
 
 
@@ -26,10 +26,8 @@ def patch_embed(img: Tensor, p: dict, name: str, patch: int) -> Tensor:
     h, w, _ = img.shape
     if h % patch or w % patch:
         raise DimensionError(f"patch {patch} does not divide image {h}x{w}")
-    t = reshape(img, (h // patch, patch, w // patch, patch, 3))
-    t = transpose(t, (0, 2, 1, 3, 4))
-    t = reshape(t, ((h // patch) * (w // patch), patch * patch * 3))
-    return linear(t, p, name)
+    t = permute_tokens(reshape(img, (h * w, 3)), *window_order(WindowGrid(h, w, patch)))
+    return linear(reshape(t, ((h // patch) * (w // patch), patch * patch * 3)), p, name)
 
 
 def patch_merge(x: Tensor, side: int, p: dict, name: str) -> Tensor:
@@ -41,8 +39,7 @@ def patch_merge(x: Tensor, side: int, p: dict, name: str) -> Tensor:
         raise DimensionError(f"{n} tokens do not fill grid {side}x{side}")
     if side % 2:
         raise DimensionError(f"patch_merge needs an even grid side, got {side}")
-    t = reshape(x, (side // 2, 2, side // 2, 2, c))
-    t = transpose(t, (0, 2, 1, 3, 4))
+    t = permute_tokens(x, *window_order(WindowGrid(side, side, 2)))
     t = reshape(t, ((side // 2) ** 2, 4 * c))
     return matmul(norm(t, p, f"{name}.ln"), p[f"{name}.weight"])
 

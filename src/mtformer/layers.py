@@ -3,9 +3,9 @@
 Every layer takes the model's flat name -> Tensor dict and a name prefix:
 ``linear(x, p, "encoder.s0.b0.q")`` reads ``encoder.s0.b0.q.weight`` and
 ``.bias``.  ``config.param_layout`` declares every name.  Blocks run on flat
-token sequences [..., N, C]; the window geometry reshapes to [..., H, W, C]
-internally.  Leading axes carry independent streams (the decoders' task
-axis); a parameter either has no leading axes and is shared by every
+token sequences [..., N, C]; a window layout is one cached token gather
+(``window_order``).  Leading axes carry independent streams (the decoders'
+task axis); a parameter either has no leading axes and is shared by every
 stream, or carries the same leading axes and holds one slice per stream:
 weights [..., C, C'], vectors [..., 1, C].  There is one block function,
 ``attention_block``; its grid's shift decides regular or shifted windows.
@@ -18,14 +18,17 @@ every task's block.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import DimensionError
-from .tensor import (Tensor, add, gelu, matmul, mul, reshape, softmax_lastdim,
-                     swapaxes)
+from .tensor import (Tensor, add, gelu, matmul, mul, permute_tokens, reshape,
+                     softmax_lastdim, swapaxes)
 from .tensor import layer_norm as _layer_norm
 from .tensor import linear as _linear
-from .windowing import (WindowGrid, cyclic_shift, cyclic_unshift, rel_pos_bias,
-                        shift_mask, window_partition, window_reverse)
+from .windowing import (WindowGrid, cyclic_shift, rel_pos_bias, shift_mask,
+                        window_partition)
 
 
 def linear(x: Tensor, p: dict, name: str) -> Tensor:
@@ -40,16 +43,27 @@ def mlp(x: Tensor, p: dict, name: str) -> Tensor:
     return linear(gelu(linear(x, p, f"{name}.fc1")), p, f"{name}.fc2")
 
 
+@lru_cache(maxsize=None)
+def window_order(grid: WindowGrid) -> tuple:
+    """(order, inverse), read-only: the grid's map-order tokens gathered at
+    ``order`` are its shifted windows, token k of window j at j*T + k, and
+    gathered back at ``inverse`` they are in map order again."""
+    ids = Tensor(np.arange(grid.h * grid.w, dtype=float).reshape(grid.h, grid.w, 1))
+    wins = window_partition(cyclic_shift(ids, grid.shift), grid.win)
+    order = wins.data.reshape(-1).astype(np.intp)
+    inverse = np.argsort(order)
+    order.flags.writeable = inverse.flags.writeable = False
+    return order, inverse
+
+
 def shifted_windows(x: Tensor, grid: WindowGrid) -> Tensor:
     """Tokens [..., N, C] of the grid, cyclically shifted by ``grid.shift``
     and cut into windows [..., nW, T, C]."""
     *lead, n, c = x.shape
     if n != grid.h * grid.w:
         raise DimensionError(f"{n} tokens do not fill grid {grid.h}x{grid.w}")
-    x2d = reshape(x, tuple(lead) + (grid.h, grid.w, c))
-    if grid.shift:
-        x2d = cyclic_shift(x2d, grid.shift)
-    return window_partition(x2d, grid.win)
+    t = grid.tokens_per_window
+    return reshape(permute_tokens(x, *window_order(grid)), tuple(lead) + (n // t, t, c))
 
 
 def _project(wins: Tensor, p: dict, name: str) -> Tensor:
@@ -105,20 +119,15 @@ def apply_attention(weights: Tensor, wins: Tensor, p: dict, name: str,
     windowing and the shift and returns tokens [..., N, C] in map order.
     ``weights`` broadcast over leading axes, so one map can serve a whole
     stack of value streams."""
-    heads = weights.shape[-3]
-    *lead, nw, t, c = wins.shape
-    vh = _split_heads(_project(wins, p, f"{name}.v"), nw, heads)
+    vh = _split_heads(_project(wins, p, f"{name}.v"), wins.shape[-3], weights.shape[-3])
     ctx = linear(_merge_heads(matmul(weights, vh)), p, f"{name}.out")
-    y = window_reverse(reshape(ctx, tuple(lead) + (nw, t, c)), grid.h, grid.w)
-    if grid.shift:
-        y = cyclic_unshift(y, grid.shift)
-    return reshape(y, tuple(lead) + (grid.h * grid.w, c))
+    return permute_tokens(ctx, *window_order(grid)[::-1])
 
 
 def attention_block(x: Tensor, p: dict, name: str, grid: WindowGrid,
                     weights: Tensor | None = None) -> Tensor:
     """y = x + WMSA(LN(x)); y = y + MLP(LN(y)).  On a grid with a shift the
-    block rolls and masks.
+    windows are gathered from the cyclically shifted map and masked.
 
     The normalized map is shifted and windowed once; the attention weights
     and their application share those windows.  ``weights`` [..., nW, heads,

@@ -39,9 +39,9 @@ from .kernels import ndtr, row_max, row_mean, row_sum
 
 __all__ = [
     "Tensor", "Tape", "add", "sub", "mul", "div", "neg", "matmul", "linear",
-    "reshape", "transpose", "swapaxes", "roll", "sum_", "mean", "log", "sqrt",
-    "abs_", "sigmoid", "softmax_lastdim", "layer_norm", "gelu", "take_rows",
-    "gather_lastdim", "central_difference", "grad_check", "zero_grad",
+    "reshape", "transpose", "swapaxes", "permute_tokens", "sum_", "mean",
+    "log", "sqrt", "abs_", "sigmoid", "softmax_lastdim", "layer_norm", "gelu",
+    "take_rows", "gather_lastdim", "central_difference", "grad_check", "zero_grad",
 ]
 
 NORM_EPS = 1e-5  # added to the variance in layer_norm
@@ -371,13 +371,14 @@ def swapaxes(a: Tensor, i: int, j: int) -> Tensor:
     return transpose(a, axes)
 
 
-def roll(a: Tensor, shift, axis) -> Tensor:
-    """Circular shift along the given axes; gradient rolls back the other way."""
-    data = np.roll(a.data, shift, axis=axis)
-    rollback = tuple(-s for s in shift) if isinstance(shift, tuple) else -shift
+def permute_tokens(a: Tensor, order, inverse) -> Tensor:
+    """Reorder the tokens (axis -2): ``out[..., k, :] = a[..., order[k], :]``.
+    ``inverse`` is the inverse permutation; each token is read exactly once,
+    so the gradient is the inverse gather, with no scatter-add."""
+    data = np.take(a.data, order, axis=-2)
 
     def backward(g):
-        return (np.roll(g, rollback, axis=axis),)
+        return (np.take(g, inverse, axis=-2),)
 
     return _from_op(data, (a,), backward)
 

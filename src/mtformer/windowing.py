@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .tensor import Tensor, reshape, roll, swapaxes, take_rows, transpose
+from .tensor import Tensor, permute_tokens, reshape, swapaxes, take_rows, transpose
 
 MASK_VALUE = -1e9
 
@@ -69,11 +69,14 @@ def window_reverse(wins: Tensor, h: int, w: int) -> Tensor:
 
 def cyclic_shift(x: Tensor, shift: int) -> Tensor:
     """Roll the map up and left: output[..., i, j, :] = input[..., (i+shift) % H, (j+shift) % W, :]."""
-    return roll(x, (-shift, -shift), (-3, -2))
+    *lead, h, w, c = x.shape
+    ids = np.arange(h * w).reshape(h, w)
+    order, inverse = (np.roll(ids, (-s, -s), (0, 1)).reshape(-1) for s in (shift, -shift))
+    return reshape(permute_tokens(reshape(x, tuple(lead) + (h * w, c)), order, inverse), x.shape)
 
 
 def cyclic_unshift(x: Tensor, shift: int) -> Tensor:
-    return roll(x, (shift, shift), (-3, -2))
+    return cyclic_shift(x, -shift)
 
 
 @lru_cache(maxsize=None)

@@ -118,13 +118,14 @@ def _taped_loss(cfg, m, sample):
     return tape, total
 
 
-def test_taped_sample_records_at_most_740_ops():
+def test_taped_sample_records_at_most_610_ops():
     # the six decoders run as one stacked stream (a per-task loop would tape
-    # 2355 ops for one desk-nano sample) and every projection is one fused
-    # linear op (matmul then add would tape 812)
+    # 2355 ops for one desk-nano sample), every projection is one fused
+    # linear op (matmul then add would tape 812), and every window or patch
+    # layout is one token gather (reshape/transpose/roll chains taped 722)
     cfg = config.preset("desk-nano")
     tape, _ = _taped_loss(cfg, init_params(cfg, seed=0), generate_sample(0, cfg.img_size))
-    assert len(tape) <= 740, len(tape)
+    assert len(tape) <= 610, len(tape)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
@@ -159,7 +160,7 @@ def test_one_taped_sample_pins_at_most_60_mib():
         pinned = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert len(tape) > 700 and total.requires_grad
+    assert len(tape) > 580 and total.requires_grad
     assert pinned < 60 * 2**20, pinned / 2**20
 
 

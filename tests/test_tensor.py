@@ -170,6 +170,7 @@ def _probe_cases():
     w2 = rng.normal(size=(4, 6, 3))
     labels = rng.integers(0, 3, size=(4, 6))
     rows = np.array([0, 2, 2, 1])
+    order = rng.permutation(6)
     return [
         ("add_broadcast", lambda x: T.sum_(T.mul(T.add(x, Tensor(w[0])), Tensor(w2))), (4, 6, 3)),
         ("sub", lambda x: T.sum_(T.sub(Tensor(w2), x)), (4, 6, 3)),
@@ -184,7 +185,8 @@ def _probe_cases():
             T.linear(Tensor(w2[0, :5]), Tensor(w), b), Tensor(w2[:2, :5]))), (2, 1, 3)),
         ("reshape", lambda x: T.sum_(T.mul(T.reshape(x, (2, 6)), 1.5)), (3, 4)),
         ("transpose", lambda x: T.sum_(T.mul(T.transpose(x, (1, 0, 2)), Tensor(w2))), (6, 4, 3)),
-        ("roll", lambda x: T.sum_(T.mul(T.roll(x, (1, 2), (0, 1)), Tensor(w2))), (4, 6, 3)),
+        ("permute_tokens", lambda x: T.sum_(T.mul(
+            T.permute_tokens(x, order, np.argsort(order)), Tensor(w2))), (4, 6, 3)),
         ("sum_axis", lambda x: T.sum_(T.mul(T.sum_(x, axis=1), 2.0)), (3, 4)),
         ("sum_keepdims", lambda x: T.sum_(T.sum_(x, axis=(0, 1), keepdims=True)), (3, 4)),
         ("mean", lambda x: T.mean(T.mul(x, x)), (3, 4)),
@@ -569,7 +571,7 @@ def test_every_op_records_only_what_its_backward_reads():
         "reshape": lambda a, m, r, pos: T.reshape(a, (4, 3)),
         "transpose": lambda a, m, r, pos: T.transpose(a, (1, 0)),
         "swapaxes": lambda a, m, r, pos: T.swapaxes(a, 0, 1),
-        "roll": lambda a, m, r, pos: T.roll(a, 1, 0),
+        "permute_tokens": lambda a, m, r, pos: T.permute_tokens(a, [2, 0, 1], [1, 2, 0]),
         "sum_": lambda a, m, r, pos: T.sum_(a, axis=0),
         "mean": lambda a, m, r, pos: T.mean(a),
         "log": lambda a, m, r, pos: T.log(pos),

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtformer import tensor as T
+from mtformer.decoder import patch_expand
+from mtformer.encoder import patch_embed, patch_merge
 from mtformer.errors import ConfigurationError, DimensionError
+from mtformer.layers import (apply_attention, linear, norm, shifted_windows,
+                             window_order)
 from mtformer.tensor import Tape, Tensor
 from mtformer.windowing import (MASK_VALUE, WindowGrid, cyclic_shift,
                                 cyclic_unshift, rel_pos_bias, rel_pos_index,
@@ -133,6 +137,62 @@ def test_shift_unshift_round_trips_over_random_shapes(case, shift):
     np.testing.assert_array_equal(cyclic_unshift(cyclic_shift(x, shift), shift).data, x.data)
     np.testing.assert_array_equal(cyclic_shift(x, shift).data,
                                   _each_slice(lambda m: cyclic_shift(m, shift), x))
+
+
+@settings(PROPERTY, derandomize=True)
+@given(_maps(), st.data())
+def test_window_order_gathers_what_shift_and_partition_compute(case, data):
+    # the production layout is one gather; shift then partition (and reverse
+    # then unshift) are its oracle, on the same maps as the round trips above
+    x, win = case
+    shift = data.draw(st.integers(0, win - 1))
+    *lead, h, w, c = x.shape
+    grid = WindowGrid(h, w, win, shift)
+    tokens = Tensor(x.data.reshape(tuple(lead) + (h * w, c)))
+    wins = shifted_windows(tokens, grid)
+    np.testing.assert_array_equal(wins.data, window_partition(cyclic_shift(x, shift), win).data)
+    # identity attention and identity v/out projections leave apply_attention
+    # only its closing gather back to map order
+    t = grid.tokens_per_window
+    identity = {f"id.{k}.{field}": Tensor(value) for k in ("v", "out")
+                for field, value in (("weight", np.eye(c)), ("bias", np.zeros((1, c))))}
+    weights = Tensor(np.broadcast_to(np.eye(t), (h * w // t, 1, t, t)))
+    back = apply_attention(weights, wins, identity, "id", grid)
+    np.testing.assert_array_equal(back.data.reshape(x.shape),
+                                  cyclic_unshift(window_reverse(wins, h, w), shift).data)
+    np.testing.assert_array_equal(back.data, tokens.data)
+    order, inverse = window_order(grid)
+    assert order.dtype == inverse.dtype == np.intp
+    assert not order.flags.writeable and not inverse.flags.writeable
+
+
+def test_patch_layouts_equal_their_reshape_transpose_expressions():
+    # patch_embed and patch_merge cut 2x2 / patch x patch blocks row major,
+    # patch_expand spreads each token's four chunks over its 2x2 block: the
+    # numpy expressions below are those layouts written out
+    rng = np.random.default_rng(12)
+    c, side, patch = 6, 4, 4
+    img = rng.normal(size=(side * patch, side * patch, 3))
+    p = {"pe.weight": Tensor(rng.normal(size=(patch * patch * 3, c))),
+         "pe.bias": Tensor(rng.normal(size=(1, c))),
+         "pm.ln.gamma": Tensor(rng.normal(size=(1, 4 * c))),
+         "pm.ln.beta": Tensor(rng.normal(size=(1, 4 * c))),
+         "pm.weight": Tensor(rng.normal(size=(4 * c, 2 * c)))}
+    cut = img.reshape(side, patch, side, patch, 3).transpose(0, 2, 1, 3, 4)
+    expected = linear(Tensor(cut.reshape(side * side, patch * patch * 3)), p, "pe")
+    np.testing.assert_array_equal(patch_embed(Tensor(img), p, "pe", patch).data, expected.data)
+
+    x = rng.normal(size=(side * side, c))
+    quads = x.reshape(side // 2, 2, side // 2, 2, c).transpose(0, 2, 1, 3, 4)
+    expected = T.matmul(norm(Tensor(quads.reshape(side * side // 4, 4 * c)), p, "pm.ln"),
+                        p["pm.weight"])
+    np.testing.assert_array_equal(patch_merge(Tensor(x), side, p, "pm").data, expected.data)
+
+    stack = Tensor(rng.normal(size=(2, side * side, c)))
+    weight = Tensor(rng.normal(size=(c, 2 * c)))
+    chunks = T.matmul(stack, weight).data.reshape(2, side, side, 2, 2, c // 2)
+    expected = chunks.swapaxes(-4, -3).reshape(2, 4 * side * side, c // 2)
+    np.testing.assert_array_equal(patch_expand(stack, side, weight).data, expected)
 
 
 @PROPERTY
