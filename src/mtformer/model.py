@@ -35,58 +35,57 @@ class Model:
         return next(iter(self.flat.values())).data.dtype
 
 
-def _initial(shape: tuple, init, rng: np.random.Generator | None, dtype) -> np.ndarray:
+def _initial(shape: tuple, init, rng: np.random.Generator, dtype) -> np.ndarray:
     if init != NORMAL:
         return np.full(shape, init, dtype=dtype)
-    if rng is None:
-        return np.zeros(shape, dtype=dtype)
     # clipped normal, the usual transformer table/projection init
     vals = rng.normal(0.0, INIT_STD, size=shape)
     return np.clip(vals, -2 * INIT_STD, 2 * INIT_STD).astype(dtype, copy=False)
 
 
-def build_params(layout, num_tasks: int, rng: np.random.Generator | None, dtype) -> tuple:
-    """Tensors for ``layout`` entries ``(name, shape, init, task, stacked)``,
-    drawn from ``rng`` in entry order; returns (flat dict, stacked names).
+def param_shapes(layout, num_tasks: int) -> tuple:
+    """The tensors of ``layout`` entries ``(name, shape, init, task, stacked)``
+    from their shapes alone: returns (name -> shape dict in storage order,
+    stacked names), and allocates no tensor.
 
-    A stacked entry fills slice ``task`` of a [num_tasks, ...] tensor, its
-    vectors as [1, C] so they broadcast over tokens.  With ``rng`` None
-    nothing is drawn and every weight is zero.  A name, or a slice of one,
-    given twice is a ``ConfigurationError``.
+    A stacked entry is slice ``task`` of a [num_tasks, ...] tensor, its
+    vectors as [1, C] so they broadcast over tokens.  A name, or a slice of
+    one, given twice is a ``ConfigurationError``.
     """
-    flat, stacked, filled = {}, set(), set()
-    for name, shape, init, k, is_stacked in layout:
-        value = _initial(shape, init, rng, dtype)
+    shapes, stacked, filled = {}, set(), set()
+    for name, shape, _, k, is_stacked in layout:
         if not is_stacked:
-            if name in flat:
+            if name in shapes:
                 raise ConfigurationError(f"duplicate parameter {name}")
-            flat[name] = Tensor(value, requires_grad=True)
+            shapes[name] = shape
             continue
-        if name not in flat:
-            full = (num_tasks,) + (shape if len(shape) > 1 else (1,) + shape)
-            flat[name] = Tensor(np.zeros(full, dtype=dtype), requires_grad=True)
+        if name not in shapes:
+            shapes[name] = (num_tasks,) + (shape if len(shape) > 1 else (1,) + shape)
             stacked.add(name)
         elif name not in stacked or (name, k) in filled:
             raise ConfigurationError(f"duplicate parameter {name}")
         filled.add((name, k))
-        flat[name].data[k] = value
-    return flat, frozenset(stacked)
+    return shapes, frozenset(stacked)
 
 
 def init_params(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> Model:
-    """Build all parameters for ``cfg``; same seed and dtype gives bitwise
+    """Build all parameters for ``cfg``, shaped as ``param_shapes`` says and
+    drawn in layout entry order; same seed and dtype gives bitwise
     identical tensors."""
     if seed < 0:
         raise ConfigurationError(f"init seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    return Model(cfg, *build_params(param_layout(cfg), len(cfg.tasks), rng, dtype))
-
-
-def empty_params(cfg: ArchConfig, dtype=np.float64) -> Model:
-    """The names, order and shapes of ``init_params(cfg)`` without drawing
-    any random number: weights are zero.  For loaders that overwrite every
-    tensor."""
-    return Model(cfg, *build_params(param_layout(cfg), len(cfg.tasks), None, dtype))
+    layout = list(param_layout(cfg))
+    shapes, stacked = param_shapes(layout, len(cfg.tasks))
+    values = {name: np.zeros(shapes[name], dtype=dtype) for name in stacked}
+    for name, shape, init, k, _ in layout:
+        value = _initial(shape, init, rng, dtype)
+        if name in stacked:
+            values[name][k] = value
+        else:
+            values[name] = value
+    return Model(cfg, {name: Tensor(values[name], requires_grad=True) for name in shapes},
+                 stacked)
 
 
 def forward(model: Model, img: Tensor) -> dict:

@@ -25,6 +25,9 @@ import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
+from functools import lru_cache
+from itertools import zip_longest
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,15 +35,15 @@ from . import config as cfgmod
 from .config import ArchConfig, is_int
 from .errors import (ConfigurationError, DataError, DimensionError,
                      FormatError, NumericsError)
-from .files import Reader, raw, replace_on_success
+from .files import Reader, Writer, raw, replace_on_success
 from .losses import combine_losses, per_task_loss, task_weights, update_ema
-from .model import Model, empty_params, forward, init_params
+from .model import Model, forward, init_params, param_shapes
 from .optim import WEIGHT_DECAY, OptimState, adamw_step
 from .synthetic import dataset_chunks, read_dataset
 from .tensor import Tape, Tensor, central_difference, mul, zero_grad
 
 CKPT_MAGIC = b"MTCK"
-CKPT_VERSION = 4  # 4: one head count, no decoder MLP ratio in the config text
+CKPT_VERSION = 5  # 5: every array payload starts at a multiple of files.ALIGN
 _DTYPES = (np.dtype(np.float64), np.dtype(np.float32))  # indexed by the stored code
 DTYPE_NAMES = tuple(dt.name for dt in _DTYPES)
 BALANCE_MODES = ("static", "inverse-ema")
@@ -253,35 +256,85 @@ def evaluate(model: Model, data) -> dict:
 
 # -------------------------------------------------------------- checkpoints
 
+@lru_cache(maxsize=8)
+def _layout_shapes(cfg: ArchConfig) -> tuple:
+    """(read-only name -> shape in storage order, stacked names) of
+    ``cfg``'s tensors, walked once per config: saving and loading again
+    allocate nothing for them."""
+    shapes, stacked = param_shapes(cfgmod.param_layout(cfg), len(cfg.tasks))
+    return MappingProxyType(shapes), stacked
+
+
+def _check_savable(model: Model, opt: OptimState | None) -> None:
+    """Raise unless every parameter and moment is what ``load_checkpoint``
+    reads back: the layout's names, in its order, with its shapes, all in
+    one stored dtype."""
+    if model.dtype not in _DTYPES:
+        raise DataError(f"cannot store {model.dtype} parameters, only "
+                        f"{' or '.join(DTYPE_NAMES)}")
+    shapes, _ = _layout_shapes(model.cfg)
+    for have, want in zip_longest(model.flat, shapes):
+        if have != want:
+            raise ConfigurationError(f"model has tensor {have!r} where its config's "
+                                     f"layout has {want!r}")
+    extra = set() if opt is None else (opt.m.keys() | opt.v.keys()) - shapes.keys()
+    if extra:
+        raise ConfigurationError(f"optimizer state has moments for {sorted(extra)}, "
+                                 "which the model does not have")
+    for name, shape in shapes.items():
+        arrays = [("parameter", model.flat[name].data)]
+        if opt is not None:
+            arrays += [(f"{kind} moment", moments[name])
+                       for kind, moments in (("first", opt.m), ("second", opt.v))
+                       if name in moments]
+        for what, a in arrays:
+            if a.shape != shape:
+                raise DimensionError(f"{name} {what} is {a.shape}, config wants {shape}")
+            if a.dtype != model.dtype:
+                raise DataError(f"{name} {what} is {a.dtype}, the model is {model.dtype}")
+
+
 def save_checkpoint(path, model: Model, opt: OptimState | None,
                     step: int, budget: str = "") -> None:
+    """Write ``model``, ``opt`` (or none), ``step`` and the budget hash to
+    ``path``, replacing it by rename; every array is checked first, so a
+    mismatched one raises before any file is made."""
+    _check_savable(model, opt)
     code = _DTYPES.index(model.dtype)
     cfg_text = cfgmod.to_text(model.cfg).encode()
     budget_b = budget.encode()
     with replace_on_success(path) as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<IIQ", CKPT_VERSION, code, step))
-        f.write(struct.pack("<I", len(cfg_text)) + cfg_text)
-        f.write(struct.pack("<I", len(budget_b)) + budget_b)
-        f.write(struct.pack("<I", len(model.flat)))
+        w = Writer(f)
+        w.write(CKPT_MAGIC)
+        w.write(struct.pack("<IIQ", CKPT_VERSION, code, step))
+        w.write(struct.pack("<I", len(cfg_text)) + cfg_text)
+        w.write(struct.pack("<I", len(budget_b)) + budget_b)
+        w.write(struct.pack("<I", len(model.flat)))
         for name, p in model.flat.items():
             nb = name.encode()
-            f.write(struct.pack("<H", len(nb)) + nb)
-            f.write(struct.pack("<B", p.data.ndim))
-            f.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            f.write(raw(p.data))
+            w.write(struct.pack("<H", len(nb)) + nb)
+            w.write(struct.pack("<B", p.data.ndim))
+            w.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
+            w.aligned(raw(p.data))
         if opt is None:
-            f.write(struct.pack("<B", 0))
+            w.write(struct.pack("<B", 0))
         else:
-            f.write(struct.pack("<BdQ", 1, opt.weight_decay, opt.step))
+            w.write(struct.pack("<BdQ", 1, opt.weight_decay, opt.step))
             for name, p in model.flat.items():
                 for moments in (opt.m, opt.v):
                     # a moment not made yet is stored as zeros
-                    f.write(raw(moments[name]) if name in moments else bytes(p.data.nbytes))
+                    w.aligned(raw(moments[name]) if name in moments else bytes(p.data.nbytes))
 
 
 def load_checkpoint(path):
-    """Returns (model, optimizer state or None, step, budget hash)."""
+    """Returns (model, optimizer state or None, step, budget hash).
+
+    Every parameter and moment is a view of one private copy-on-write
+    mapping of the file (``files.Reader.view``): loading copies no array,
+    and the first write to a page copies that page, never reaching the
+    file.  Replace the file by rename, as ``save_checkpoint`` does;
+    truncating it in place while the model lives ends the process with
+    SIGBUS."""
     with open(path, "rb") as f:
         r = Reader(f, "checkpoint")
         if r.take(4) != CKPT_MAGIC:
@@ -302,11 +355,11 @@ def load_checkpoint(path):
         budget = r.text(budget_len)
         (count,) = r.unpack("<I")
 
-        model = empty_params(cfg, dtype=dt)  # every tensor is filled below
-        if count != len(model.flat):
-            raise FormatError(f"checkpoint stores {count} tensors, config builds "
-                              f"{len(model.flat)}")
-        for expected_name, p in model.flat.items():
+        shapes, stacked = _layout_shapes(cfg)
+        if count != len(shapes):
+            raise FormatError(f"checkpoint stores {count} tensors, config builds {len(shapes)}")
+        flat = {}
+        for expected_name, want in shapes.items():
             (nlen,) = r.unpack("<H")
             name = r.text(nlen)
             if name != expected_name:
@@ -314,20 +367,20 @@ def load_checkpoint(path):
                                   f"{expected_name!r} belongs")
             (ndim,) = r.unpack("<B")
             shape = r.unpack(f"<{ndim}I")
-            if shape != p.data.shape:
-                raise FormatError(f"{name} stored as {shape}, config wants {p.data.shape}")
-            r.take(p.data.nbytes, p.data)
+            if shape != want:
+                raise FormatError(f"{name} stored as {shape}, config wants {want}")
+            flat[name] = Tensor(r.view(shape, dt), requires_grad=True)
 
         (has_opt,) = r.unpack("<B")
         opt = None
         if has_opt:
             wd, ostep = r.unpack("<dQ")
             opt = OptimState(weight_decay=wd, step=ostep)
-            for name, p in model.flat.items():
-                opt.m[name] = r.array(p.data.shape, dt)
-                opt.v[name] = r.array(p.data.shape, dt)
+            for name, shape in shapes.items():
+                opt.m[name] = r.view(shape, dt)
+                opt.v[name] = r.view(shape, dt)
         r.end()
-    return model, opt, step, budget
+    return Model(cfg, flat, stacked), opt, step, budget
 
 
 # ------------------------------------------------------- gradient checking

@@ -107,13 +107,13 @@ def test_only_the_cli_prints():
 
 def _raw_file_access(node):
     """What ``node`` does that only files.py may do, or None: measure a
-    file, read into a buffer, view an array's raw bytes, or open a file to
-    write (``open(path, mode)`` or ``Path.open(mode)``)."""
+    file, map it, read into a buffer, view an array's raw bytes, or open a
+    file to write (``open(path, mode)`` or ``Path.open(mode)``)."""
     if not isinstance(node, ast.Call):
         return None
     func, args = node.func, node.args
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name in ("fstat", "readinto"):
+    if name in ("fstat", "mmap", "readinto"):
         return f"{name}()"
     if name == "cast" and args and isinstance(args[0], ast.Constant) and args[0].value == "B":
         return 'cast("B")'

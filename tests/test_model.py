@@ -13,7 +13,7 @@ import pytest
 
 from mtformer import config, tensor
 from mtformer.losses import combine_losses, per_task_loss
-from mtformer.model import INIT_STD, Model, empty_params, forward, init_params
+from mtformer.model import INIT_STD, Model, forward, init_params, param_shapes
 from mtformer.synthetic import generate_sample
 from mtformer.tensor import Tape, Tensor
 
@@ -257,19 +257,18 @@ def test_init_rejects_invalid_config():
 
 def test_duplicate_parameter_name_is_a_configuration_error():
     from mtformer.errors import ConfigurationError
-    from mtformer.model import build_params
     plain = ("x.weight", (2, 2), "normal", None, False)
     with pytest.raises(ConfigurationError, match="duplicate parameter x.weight"):
-        build_params([plain, plain], 2, None, np.float64)
+        param_shapes([plain, plain], 2)
     # slice 0 of a stacked tensor registers it and slice 1 fills it; either
     # slice again, or the name unstacked, is a duplicate
     sliced = [("y", (2, 2), "normal", k, True) for k in (0, 1)]
-    flat, stacked = build_params(sliced, 2, None, np.float64)
-    assert flat["y"].shape == (2, 2, 2) and stacked == {"y"}
+    shapes, stacked = param_shapes(sliced, 2)
+    assert shapes == {"y": (2, 2, 2)} and stacked == {"y"}
     unstacked = ("y", (2, 2), "normal", None, False)
     for layout in (sliced + sliced[:1], sliced + [unstacked], [unstacked] + sliced):
         with pytest.raises(ConfigurationError, match="duplicate parameter y"):
-            build_params(layout, 2, None, np.float64)
+            param_shapes(layout, 2)
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -326,9 +325,9 @@ def test_layout_and_init_bytes_are_pinned(variant):
         data.update(p.data.tobytes())
     assert names.hexdigest() == names_digest
     assert data.hexdigest() == bytes_digest
-    empty = empty_params(cfg)
-    assert [(n, p.shape) for n, p in empty.flat.items()] == \
-        [(n, p.shape) for n, p in m.flat.items()]
+    shapes, stacked = param_shapes(config.param_layout(cfg), len(cfg.tasks))
+    assert list(shapes.items()) == [(n, p.shape) for n, p in m.flat.items()]
+    assert stacked == m.stacked
 
 
 def test_shared_bundle_sits_where_the_reference_task_first_declares_it():

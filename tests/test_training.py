@@ -9,11 +9,14 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtformer.config import ABLATION_AXES, ArchConfig, from_text
+from mtformer.config import ABLATION_AXES, TASKS, ArchConfig, from_text
 from mtformer.optim import OptimState, adamw_step
 from mtformer.errors import (ConfigurationError, DataError, DimensionError,
                              FormatError, NumericsError)
+from mtformer.files import ALIGN, padding
 from mtformer.synthetic import generate_sample
 from mtformer.training import (RunOptions, budget_hash, check_model_gradients,
                                config_hash, evaluate, load_checkpoint,
@@ -245,9 +248,10 @@ def test_checkpoint_rejects_bad_version(tmp_path):
 def test_checkpoint_rejects_per_task_layout_version_1(tmp_path):
     # version 1 stored one tensor per task decoder, version 2 the patch size,
     # shift, class count and Adam betas/eps, version 3 two head tuples and
-    # the decoder MLP ratio; those files cannot load
+    # the decoder MLP ratio, version 4 its arrays unaligned; those files
+    # cannot load
     path, blob = _valid_ckpt_bytes(tmp_path)
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         path.write_bytes(blob[:4] + version.to_bytes(4, "little") + blob[8:])
         with pytest.raises(FormatError, match=f"version {version}"):
             load_checkpoint(path)
@@ -283,43 +287,64 @@ def test_checkpoint_rejects_name_mismatch(tmp_path):
         load_checkpoint(path)
 
 
-def _ckpt_with_optimizer(tmp_path):
-    """A checkpoint with optimizer state, its bytes, and where its fields
-    start: the config text, then per tensor its name and data, then the
-    moments, in file order."""
-    from mtformer.model import init_params
-    model = init_params(tiny_cfg(tasks=("S",)), seed=0)
-    opt = OptimState()
-    rng = np.random.default_rng(0)
-    adamw_step(model.flat, {n: rng.normal(0.0, 1e-3, p.data.shape)
-                            for n, p in model.flat.items()}, opt, 1e-4)
-    path = tmp_path / "opt.mtck"
-    save_checkpoint(path, model, opt, opt.step, "budget")
-    blob = path.read_bytes()
-
+def _payload_spans(blob, model, with_opt):
+    """Where the fields of a checkpoint of ``model`` start, walked with the
+    padding rule of ``files``: the config text, then per tensor its name,
+    the zero run before its data and the data, then the zero run before
+    each moment and the moment, in file order."""
     (cfg_len,) = struct.unpack_from("<I", blob, 20)
     at = 24 + cfg_len
     (budget_len,) = struct.unpack_from("<I", blob, at)
     at += 4 + budget_len + 4
-    spans = {"config": (24, cfg_len), "names": [], "params": [], "moments": []}
+    spans = {"config": (24, cfg_len), "names": [], "padding": [], "params": [], "moments": []}
+
+    def payload(key, nbytes):
+        nonlocal at
+        spans["padding"].append((at, padding(at)))
+        at += padding(at)
+        spans[key].append((at, nbytes))
+        at += nbytes
+
     for p in model.flat.values():
         (nlen,) = struct.unpack_from("<H", blob, at)
         spans["names"].append((at + 2, nlen))
         at += 2 + nlen + 1 + 4 * p.data.ndim
-        spans["params"].append((at, p.data.nbytes))
-        at += p.data.nbytes
-    at += 1 + 16  # the optimizer flag, weight decay and step
-    for p in model.flat.values():
-        for _ in ("m", "v"):
-            spans["moments"].append((at, p.data.nbytes))
-            at += p.data.nbytes
+        payload("params", p.data.nbytes)
+    at += 1  # the optimizer flag
+    if with_opt:
+        at += 16  # weight decay and step
+        for p in model.flat.values():
+            payload("moments", p.data.nbytes)  # first
+            payload("moments", p.data.nbytes)  # second
     assert at == len(blob)
-    return path, blob, spans
+    return spans
+
+
+def _moved_model(cfg, dtype=np.float64):
+    """A model of ``cfg`` after one AdamW step, and its optimizer state."""
+    from mtformer.model import init_params
+    model = init_params(cfg, seed=0, dtype=dtype)
+    opt = OptimState()
+    rng = np.random.default_rng(0)
+    adamw_step(model.flat, {n: rng.normal(0.0, 1e-3, p.data.shape)
+                            for n, p in model.flat.items()}, opt, 1e-4)
+    return model, opt
+
+
+def _ckpt_with_optimizer(tmp_path):
+    """A checkpoint with optimizer state, its bytes, and where its fields
+    start (``_payload_spans``)."""
+    model, opt = _moved_model(tiny_cfg(tasks=("S",)))
+    path = tmp_path / "opt.mtck"
+    save_checkpoint(path, model, opt, opt.step, "budget")
+    blob = path.read_bytes()
+    return path, blob, _payload_spans(blob, model, True)
 
 
 def test_checkpoint_truncation_names_the_field_it_cuts(tmp_path):
     path, blob, spans = _ckpt_with_optimizer(tmp_path)
-    cuts = [spans["config"], spans["names"][0], spans["names"][-1],
+    runs = [span for span in spans["padding"] if span[1] > 1]
+    cuts = [spans["config"], spans["names"][0], spans["names"][-1], runs[0], runs[-1],
             spans["params"][0], spans["params"][-1],
             spans["moments"][0], spans["moments"][1], spans["moments"][-1]]
     for start, n in cuts:
@@ -397,6 +422,143 @@ def test_checkpoint_save_copies_no_tensor(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < largest
+
+
+def test_checkpoint_load_copies_no_tensor(tmp_path):
+    # six tasks, so the largest tensor (a stacked decoder weight) outweighs
+    # the view and Tensor objects of every array
+    model, opt = _moved_model(tiny_cfg(tasks=TASKS))
+    path = tmp_path / "six.mtck"
+    save_checkpoint(path, model, opt, opt.step)
+    load_checkpoint(path)  # the config's layout is walked once per process
+    largest = max(p.data.nbytes for p in model.flat.values())
+    tracemalloc.start()
+    try:
+        loaded, _, _, _ = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(loaded.flat) == list(model.flat)
+    assert peak < largest, (peak, largest)
+
+
+def test_loaded_arrays_are_aligned_private_views(tmp_path):
+    path, blob, _ = _ckpt_with_optimizer(tmp_path)
+    model, opt, _, _ = load_checkpoint(path)
+    arrays = [p.data for p in model.flat.values()] + list(opt.m.values()) + list(opt.v.values())
+    for a in arrays:
+        assert a.ctypes.data % ALIGN == 0
+        assert a.flags.c_contiguous and a.flags.writeable and not a.flags.owndata
+    for a in arrays:
+        a += 1.0
+    assert path.read_bytes() == blob
+    again, _, _, _ = load_checkpoint(path)
+    for name, p in model.flat.items():
+        np.testing.assert_array_equal(p.data, again.flat[name].data + 1.0)
+
+
+def test_saving_over_a_loaded_checkpoint_keeps_the_loaded_model(tmp_path):
+    from mtformer.model import init_params
+    path, _, _ = _ckpt_with_optimizer(tmp_path)
+    model, opt, _, _ = load_checkpoint(path)
+    before = {n: (p.data.tobytes(), opt.m[n].tobytes(), opt.v[n].tobytes())
+              for n, p in model.flat.items()}
+    other = init_params(model.cfg, seed=5)
+    save_checkpoint(path, other, None, 9)
+    for name, p in model.flat.items():
+        assert (p.data.tobytes(), opt.m[name].tobytes(), opt.v[name].tobytes()) == before[name]
+    back, back_opt, step, _ = load_checkpoint(path)
+    assert back_opt is None and step == 9
+    for name, p in other.flat.items():
+        assert back.flat[name].data.tobytes() == p.data.tobytes()
+
+
+def test_adamw_step_on_a_loaded_model_equals_the_step_in_memory(tmp_path):
+    model, opt = _moved_model(tiny_cfg())
+    path = tmp_path / "step.mtck"
+    save_checkpoint(path, model, opt, opt.step)
+    loaded, loaded_opt, _, _ = load_checkpoint(path)
+    rng = np.random.default_rng(1)
+    grads = {n: rng.normal(0.0, 1e-3, p.data.shape) for n, p in model.flat.items()}
+    adamw_step(model.flat, grads, opt, 3e-4)
+    adamw_step(loaded.flat, grads, loaded_opt, 3e-4)
+    assert loaded_opt.step == opt.step
+    for name, p in model.flat.items():
+        assert loaded.flat[name].data.tobytes() == p.data.tobytes(), name
+        assert loaded_opt.m[name].tobytes() == opt.m[name].tobytes(), name
+        assert loaded_opt.v[name].tobytes() == opt.v[name].tobytes(), name
+
+
+@st.composite
+def _small_configs(draw):
+    tasks = draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=3, unique=True))
+    return tiny_cfg(tasks=tuple(tasks), shared=draw(st.booleans()),
+                    reference_task=draw(st.sampled_from(tasks)))
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(_small_configs(), st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_checkpoint_roundtrip_aligns_every_payload(tmp_path_factory, cfg, dtype, with_opt):
+    model, opt = _moved_model(cfg, dtype)
+    path = tmp_path_factory.mktemp("aligned") / "any.mtck"
+    save_checkpoint(path, model, opt if with_opt else None, 4, "b")
+    blob = path.read_bytes()
+    spans = _payload_spans(blob, model, with_opt)
+    arrays = [p.data for p in model.flat.values()]
+    moments = [a for n in model.flat for a in (opt.m[n], opt.v[n])] if with_opt else []
+    for (start, n), a in zip(spans["params"] + spans["moments"], arrays + moments, strict=True):
+        assert start % ALIGN == 0 and n == a.nbytes
+        assert blob[start:start + n] == a.tobytes()
+    assert all(blob[start:start + n] == bytes(n) for start, n in spans["padding"])
+    loaded, back, step, budget = load_checkpoint(path)
+    assert (step, budget, loaded.cfg, loaded.stacked) == (4, "b", cfg, model.stacked)
+    assert (back is None) == (not with_opt)
+    for name, p in model.flat.items():
+        got = loaded.flat[name].data
+        assert got.dtype == dtype and got.tobytes() == p.data.tobytes(), name
+        if with_opt:
+            assert back.m[name].tobytes() == opt.m[name].tobytes(), name
+            assert back.v[name].tobytes() == opt.v[name].tobytes(), name
+
+
+def test_checkpoint_rejects_nonzero_padding(tmp_path):
+    path, blob, spans = _ckpt_with_optimizer(tmp_path)
+    start, n = next(span for span in spans["padding"] if span[1])
+    path.write_bytes(blob[:start + n - 1] + b"\x01" + blob[start + n:])
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"nonzero padding at offset {start}"
+
+
+def test_empty_checkpoint_file_is_truncated_at_offset_0(tmp_path):
+    path = tmp_path / "empty.mtck"
+    path.write_bytes(b"")
+    with pytest.raises(FormatError, match="^checkpoint truncated at offset 0, needed 4 more bytes$"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_rejects_what_it_could_not_load_before_writing(tmp_path):
+    # a float32 model with float64 moments used to save, and its load then
+    # failed with "trailing bytes"
+    from mtformer.model import Model
+    model, opt = _moved_model(tiny_cfg(tasks=("S",)), np.float32)
+    name = next(iter(model.flat))
+    wide = {n: m.astype(np.float64) for n, m in opt.m.items()}
+    cut = dict(opt.v, **{name: opt.v[name][..., :1]})
+    unknown = dict(opt.m, **{"no.such.tensor": opt.m[name]})
+    reordered = Model(model.cfg, dict(reversed(model.flat.items())), model.stacked)
+    cases = [(model, replace(opt, m=wide), DataError,
+              f"{name} first moment is float64, the model is float32"),
+             (model, replace(opt, v=cut), DimensionError, f"{name} second moment is"),
+             (model, replace(opt, m=unknown), ConfigurationError, "no.such.tensor"),
+             (reordered, None, ConfigurationError, f"where its config's layout has {name!r}")]
+    for bad_model, bad_opt, error, message in cases:
+        with pytest.raises(error, match=re.escape(message)):
+            save_checkpoint(tmp_path / "bad.mtck", bad_model, bad_opt, 1)
+    model.flat[name].data = model.flat[name].data.astype(np.float64)  # sets the model's dtype
+    with pytest.raises(DataError, match="is float32, the model is float64"):
+        save_checkpoint(tmp_path / "bad.mtck", model, None, 1)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _serial_train(cfg, samples, options):

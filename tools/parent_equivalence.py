@@ -22,8 +22,8 @@ computes, on the desk-nano preset with seed 0 and BLAS pinned to one thread:
   returns from that file;
 * the parameter layout of six desk-nano variants (shared attention on
   and off, the reference task first, last and alone, window 2): the
-  tensor names in order and their shapes, from both ``init_params`` and
-  ``empty_params``, and the ``init_params(seed=0)`` bytes; and the
+  tensor names in order and their shapes from ``init_params``, and the
+  ``init_params(seed=0)`` bytes; and the
   ``config.count_parameters`` breakdown of every preset with shared
   attention on and off.
 
@@ -76,7 +76,7 @@ def _worker(out_path: str) -> None:
 
     from mtformer import config, training
     from mtformer.losses import per_task_loss
-    from mtformer.model import empty_params, forward, init_params
+    from mtformer.model import forward, init_params
     from mtformer.synthetic import (generate_dataset, generate_sample,
                                     read_dataset, write_dataset)
     from mtformer.tensor import Tape, Tensor, add, mul
@@ -146,10 +146,9 @@ def _worker(out_path: str) -> None:
         model = init_params(cfg, seed=0)
         arrays[f"layout/{label} init bytes"] = np.frombuffer(
             b"".join(p.data.tobytes() for p in model.flat.values()), np.uint8)
-        for kind, flat in (("init", model.flat), ("empty", empty_params(cfg).flat)):
-            arrays[f"layout/{label} {kind} names"] = np.frombuffer("\n".join(flat).encode(), np.uint8)
-            arrays[f"layout/{label} {kind} shapes"] = np.array(
-                [d for p in flat.values() for d in (p.data.ndim, *p.data.shape)])
+        arrays[f"layout/{label} init names"] = np.frombuffer("\n".join(model.flat).encode(), np.uint8)
+        arrays[f"layout/{label} init shapes"] = np.array(
+            [d for p in model.flat.values() for d in (p.data.ndim, *p.data.shape)])
     for name in config.PRESETS:
         for shared in (True, False):
             counts = config.count_parameters(replace(config.preset(name), shared_attention=shared))
