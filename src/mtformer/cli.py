@@ -13,23 +13,20 @@ import json
 import os
 import sys
 
-# before numpy loads: train runs two threads of its own, and a threaded BLAS
-# would compete with them for the same cores; a value the user set wins
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
+# before numpy loads: a threaded BLAS would compete with the two threads of
+# train's and ablate's own steps for the same cores; a value the user set wins
+if sys.argv[1:2] and sys.argv[1] in ("train", "ablate"):
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from . import config as cfgmod  # noqa: E402  (every import below loads numpy)
 from .ablation import ablate, shared_comparison
 from .config import count_parameters
-from .errors import (ConfigurationError, DataError, DimensionError,
-                     FormatError, NumericsError, OracleError)
+from .errors import MtformerError
 from .model import init_params
 from .synthetic import generate_dataset, generate_sample, write_dataset
 from .training import (BALANCE_MODES, DTYPE_NAMES, RunOptions,
                        check_model_gradients, evaluate, load_checkpoint, train)
-
-_ERRORS = (ConfigurationError, DataError, DimensionError, FormatError,
-           NumericsError, OracleError, OSError)
 
 
 def _emit(record: dict) -> None:
@@ -186,7 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _ERRORS as exc:
+    except (MtformerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,8 @@ shared attention block, and per task output heads; as in Swin, the heads
 double with the channels.  Task ids are single letters: S segmentation, D
 depth, N surface normals, K keypoints, E edges, R reshading.  Patch size,
 window shift, class count and the decoder MLP ratio are fixed, not set.
+A field's annotation is its kind, which decides how it is checked and how
+it is written and read as text.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ class ArchConfig:
 
     img_size: int = 128
     base_channels: int = 16
-    stage_depths: tuple = (1, 1, 2, 1)
+    stage_depths: tuple[int, ...] = (1, 1, 2, 1)
     heads: int = 1  # attention heads of encoder stage 0; see stage_heads
     window: int = 4
-    tasks: tuple = TASKS
+    tasks: tuple[str, ...] = TASKS
     reference_task: str = "N"
     shared_attention: bool = True
     mlp_ratio: int = 4
@@ -52,26 +54,32 @@ class ArchConfig:
             raise ConfigurationError("invalid config: " + "; ".join(problems))
 
 
-# each field's kind, which decides how validate checks it and how to_text
-# and from_text write and read it
-_KINDS = {"img_size": "int", "base_channels": "int", "stage_depths": "ints", "heads": "int",
-          "window": "int", "tasks": "tasks", "reference_task": "str",
-          "shared_attention": "bool", "mlp_ratio": "int"}
-
-
 def is_int(value) -> bool:
     """Whether ``value`` is an integer: a Python or numpy int, not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# what a field of each kind must hold, and how validate names it
+# what a field of each kind (its annotation) must hold, and how the check names it
 _HOLDS = {
     "int": (is_int, "an integer"),
-    "ints": (lambda v: isinstance(v, tuple) and all(map(is_int, v)), "a tuple of integers"),
-    "tasks": (lambda v: isinstance(v, tuple) and all(isinstance(t, str) for t in v), "a tuple of strings"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
+              "a finite number"),
+    "tuple[int, ...]": (lambda v: isinstance(v, tuple) and all(map(is_int, v)), "a tuple of integers"),
+    "tuple[str, ...]": (lambda v: isinstance(v, tuple) and all(isinstance(t, str) for t in v),
+                        "a tuple of strings"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
     "str": (lambda v: isinstance(v, str), "a str"),
 }
+
+
+def kind_problems(obj) -> list:
+    """A message for each field of dataclass ``obj`` not holding its annotated kind."""
+    problems = []
+    for f in fields(obj):
+        holds, what = _HOLDS[f.type]
+        if not holds(getattr(obj, f.name)):
+            problems.append(f"{f.name} must be {what}, got {getattr(obj, f.name)!r}")
+    return problems
 
 
 def window_shift(cfg: ArchConfig) -> int:
@@ -114,11 +122,7 @@ def task_channels(task: str) -> int:
 def validate(cfg: ArchConfig) -> list:
     """Return every violated constraint as a message; empty list means
     valid.  ``ArchConfig`` runs it on every config it builds."""
-    problems = []
-    for name, kind in _KINDS.items():  # the rules below rely on each field's kind
-        holds, what = _HOLDS[kind]
-        if not holds(getattr(cfg, name)):
-            problems.append(f"{name} must be {what}, got {getattr(cfg, name)!r}")
+    problems = kind_problems(cfg)  # the rules below rely on each field's kind
     if problems:
         return problems
     if cfg.img_size < 8 * PATCH or cfg.img_size % (8 * PATCH):  # four integer stage grids
@@ -296,11 +300,11 @@ def _read_bool(text: str) -> bool:
     return text.lower() in ("true", "1", "on")
 
 
-# (write, read) of each kind's text form; read raises ValueError on a bad value
+# (write, read) of each config kind's text form; read raises ValueError on a bad value
 _TEXT = {
     "int": (str, int),
-    "ints": (lambda v: ",".join(map(str, v)), lambda text: tuple(int(x) for x in text.split(","))),
-    "tasks": (",".join, lambda text: tuple(x.strip().upper() for x in text.split(",") if x.strip())),
+    "tuple[int, ...]": (lambda v: ",".join(map(str, v)), lambda text: tuple(int(x) for x in text.split(","))),
+    "tuple[str, ...]": (",".join, lambda text: tuple(x.strip().upper() for x in text.split(",") if x.strip())),
     "bool": (lambda v: "true" if v else "false", _read_bool),
     "str": (str, str.upper),
 }
@@ -308,12 +312,13 @@ _TEXT = {
 
 def to_text(cfg: ArchConfig) -> str:
     """Flat key=value form, one field per line, declaration order."""
-    return "".join(f"{f.name}={_TEXT[_KINDS[f.name]][0](getattr(cfg, f.name))}\n"
+    return "".join(f"{f.name}={_TEXT[f.type][0](getattr(cfg, f.name))}\n"
                    for f in fields(cfg))
 
 
 def from_text(text: str) -> ArchConfig:
     """Parse key=value lines; unknown keys are errors, missing keys keep defaults."""
+    kinds = {f.name: f.type for f in fields(ArchConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -323,12 +328,12 @@ def from_text(text: str) -> ArchConfig:
             raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KINDS:
+        if key not in kinds:
             raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigurationError(f"line {lineno}: duplicate config key {key!r}")
         try:
-            values[key] = _TEXT[_KINDS[key]][1](val)
+            values[key] = _TEXT[kinds[key]][1](val)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     return ArchConfig(**values)

@@ -97,13 +97,11 @@ def sobel_edges(gray) -> np.ndarray:
     if g.ndim != 2 or g.shape[0] < 3 or g.shape[1] < 3:
         raise DimensionError(f"sobel_edges needs a [H>=3, W>=3] map, got {g.shape}")
     p = np.pad(g, 1, mode="edge")
-    # sum each kernel side with identical association so a flat image
-    # cancels to exactly zero
-    right = p[:-2, 2:] + 2 * p[1:-1, 2:] + p[2:, 2:]
-    left = p[:-2, :-2] + 2 * p[1:-1, :-2] + p[2:, :-2]
-    bottom = p[2:, :-2] + 2 * p[2:, 1:-1] + p[2:, 2:]
-    top = p[:-2, :-2] + 2 * p[:-2, 1:-1] + p[:-2, 2:]
-    mag = np.hypot(right - left, bottom - top)
+    # one [1, 2, 1] sum per direction; each kernel side is a slice of it, so
+    # opposite sides associate identically and a flat image cancels to zero
+    down = p[:-2] + 2 * p[1:-1] + p[2:]  # smoothed down each column
+    across = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]  # smoothed along each row
+    mag = np.hypot(down[:, 2:] - down[:, :-2], across[2:] - across[:-2])
     peak = mag.max()
     return mag / peak if peak > 0 else mag
 
@@ -226,9 +224,9 @@ def generate_sample(seed: int, size: int) -> TaskBundle:
         corners.extend(_corners(cls, cx, cy, r))
 
     depth = 1.0 - height
-    nx, ny, nz = -slope_x, -slope_y, np.ones_like(height)
-    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-    normals = np.stack([nx / norm, ny / norm, nz / norm], axis=-1)
+    nx, ny = -slope_x, -slope_y  # nz = 1
+    norm = np.sqrt(nx * nx + ny * ny + 1.0)
+    normals = np.stack([nx / norm, ny / norm, 1.0 / norm], axis=-1)
 
     shading = np.maximum(normals @ light, 0.0)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import config as cfgmod
-from .config import ArchConfig, is_int
+from .config import ArchConfig, kind_problems
 from .errors import (ConfigurationError, DataError, DimensionError,
                      FormatError, NumericsError)
 from .files import Reader, Writer, raw, replace_on_success
@@ -68,13 +67,9 @@ class RunOptions:
     balance: str = "static"  # one of BALANCE_MODES
 
     def __post_init__(self):
-        for f in fields(self):  # an int field holds an integer, a float one a finite number
-            value = getattr(self, f.name)
-            if f.type == "int" and not is_int(value):
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                                          and math.isfinite(value)):
-                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
+        problems = kind_problems(self)  # the rules below rely on each field's kind
+        if problems:
+            raise ConfigurationError(problems[0])
         if self.balance not in BALANCE_MODES:
             raise ConfigurationError(f"unknown balancing mode {self.balance!r}")
         if self.steps < 0:
@@ -87,8 +82,7 @@ class RunOptions:
             raise ConfigurationError(
                 f"dtype must be {' or '.join(DTYPE_NAMES)}, got {self.dtype!r}")
         if self.warmup_steps < 0:
-            raise ConfigurationError(
-                f"need 0 <= warmup ({self.warmup_steps}) <= total ({self.steps})")
+            raise ConfigurationError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if not 0 <= self.floor_lr <= self.peak_lr:
             raise ConfigurationError(
                 f"need 0 <= floor ({self.floor_lr}) <= peak ({self.peak_lr})")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mtformer import cli, errors
 from mtformer import config as cfgmod
 from mtformer.cli import main
 from mtformer.synthetic import read_dataset, read_manifest
@@ -262,10 +263,31 @@ def test_bad_preset_name_is_reported(capsys):
     assert "desk-mega" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("preset, expected", [(None, "1 1"), ("3", "3 3")],
-                         ids=["unset", "user-set"])
+def test_every_typed_error_is_reported_with_exit_code_2(capsys, monkeypatch):
+    # the CLI catches the one base class, so an error added to errors.py is
+    # reported without a second list; each keeps its ValueError or
+    # RuntimeError base
+    typed = [c for c in vars(errors).values()
+             if isinstance(c, type) and issubclass(c, errors.MtformerError) and c is not errors.MtformerError]
+    assert len(typed) == 6
+    for error in typed:
+        assert issubclass(error, (ValueError, RuntimeError)), error
+
+        def fail(args, error=error):
+            raise error(f"planted {error.__name__}")
+
+        monkeypatch.setitem(cli._COMMANDS, "params", fail)
+        assert main(["params", "--preset", "desk-nano"]) == 2
+        assert capsys.readouterr().err == f"error: planted {error.__name__}\n"
+
+
+@pytest.mark.parametrize("preset, expected", [
+    (None, {"train": "1 1", "ablate": "1 1", "grad-check": "- -", "eval": "- -"}),
+    ("3", dict.fromkeys(("train", "ablate", "grad-check", "eval"), "3 3")),
+], ids=["unset", "user-set"])
 def test_cli_pins_blas_to_one_thread_unless_the_user_set_it(preset, expected):
-    # train's two threads and a threaded BLAS would share the same cores
+    # train's and ablate's two threads and a threaded BLAS would share the
+    # same cores; the other commands keep BLAS's threads
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     if preset is not None:
@@ -273,7 +295,8 @@ def test_cli_pins_blas_to_one_thread_unless_the_user_set_it(preset, expected):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     code = ("import os, mtformer.cli; "
-            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == expected
+            "print(os.environ.get('OPENBLAS_NUM_THREADS', '-'), os.environ.get('OMP_NUM_THREADS', '-'))")
+    for command, threads in expected.items():
+        out = subprocess.run([sys.executable, "-c", code, command], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == threads, command

@@ -2,6 +2,10 @@
 short-row reductions, against scalar oracles and summation bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 from mtformer import kernels as K
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 DTYPES = st.sampled_from([np.float64, np.float32])
 
@@ -142,3 +147,54 @@ def test_row_sums_are_within_the_summation_bound(x):
     last = (x.ndim - 1,)
     _within_summation_bound(K.row_sum(x), x, last)
     _within_summation_bound(K.row_mean(x) * x.dtype.type(x.shape[-1]), x, last)
+
+
+# every (rows, width) the presets reduce over their last axis: the layer
+# norms of the encoder, of the six-task decoder stack and of each patch merge,
+# the window softmax (rows of window^2), the segmentation softmax over the
+# classes and the normals' three channels; each width also as a single row
+_PRESET_ROW_SHAPES = """
+import hashlib
+import numpy as np
+from mtformer import config, kernels
+from mtformer.synthetic import NUM_CLASSES
+
+shapes = set()
+for cfg in config.PRESETS.values():
+    k, grids = len(cfg.tasks), config.stage_grids(cfg)
+    chans, heads = config.stage_channels(cfg), config.stage_heads(cfg)
+    for s in range(4):
+        tokens = grids[s] ** 2
+        shapes |= {(tokens, chans[s]), (k * tokens, chans[s]),
+                   (heads[s] * tokens, cfg.window ** 2), (k * heads[s] * tokens, cfg.window ** 2)}
+        if s < 3:
+            shapes.add((grids[s + 1] ** 2, 4 * chans[s]))
+    shapes |= {(cfg.img_size ** 2, NUM_CLASSES), (cfg.img_size ** 2, 3)}
+shapes |= {(1, n) for _, n in shapes}
+rng = np.random.default_rng(0)
+for rows, n in sorted(shapes):
+    x = rng.normal(size=(rows, n)) * 4.0
+    for dtype in (np.float64, np.float32):
+        xs = x.astype(dtype)
+        for f in (kernels.row_sum, kernels.row_mean):
+            print(f.__name__, dtype.__name__, rows, n, hashlib.sha256(f(xs).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: BLAS runs one thread either way, so the comparison proves nothing")
+def test_row_sums_are_bitwise_equal_at_1_and_2_blas_threads_on_every_preset_width():
+    # row_sum is a BLAS matrix-vector product, which may split a sum across
+    # threads in an order the thread count picks; no width a preset
+    # produces may meet such a split
+    def digests(threads):
+        env = {**os.environ, "PYTHONPATH": str(SRC),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _PRESET_ROW_SHAPES], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        return dict(line.rsplit(" ", 1) for line in out.stdout.splitlines())
+
+    one, two = digests("1"), digests("2")
+    assert set(one) == set(two) and max(int(key.split()[-1]) for key in one) == 3072, sorted(one)
+    differ = sorted(key for key in one if one[key] != two[key])
+    assert not differ, differ

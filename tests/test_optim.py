@@ -119,7 +119,7 @@ def test_schedule_shape():
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigurationError, match=r"^need 0 <= warmup \(-1\) <= total \(10\)$"):
+    with pytest.raises(ConfigurationError, match=r"^warmup_steps must be >= 0, got -1$"):
         RunOptions(steps=10, warmup_steps=-1)
     with pytest.raises(ConfigurationError, match=r"^need 0 <= floor \(0.001\) <= peak \(0.0001\)$"):
         RunOptions(steps=10, warmup_steps=2, peak_lr=1e-4, floor_lr=1e-3)

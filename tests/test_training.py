@@ -849,7 +849,7 @@ def test_negative_init_and_probe_seeds_are_configuration_errors(monkeypatch):
     ("steps", -1, "steps must be >= 0, got -1"),
     ("batch_size", 0, "batch size must be >= 1, got 0"),
     ("seed", -1, "seed must be >= 0, got -1"),
-    ("warmup_steps", -1, "need 0 <= warmup (-1) <= total (2000)"),
+    ("warmup_steps", -1, "warmup_steps must be >= 0, got -1"),
     ("floor_lr", 1e-4, "need 0 <= floor (0.0001) <= peak (5e-05)"),
     ("floor_lr", -1e-6, "need 0 <= floor (-1e-06) <= peak (5e-05)"),
     ("peak_lr", -1e-3, "need 0 <= floor (0.0) <= peak (-0.001)"),
@@ -861,6 +861,7 @@ def test_negative_init_and_probe_seeds_are_configuration_errors(monkeypatch):
     ("floor_lr", -float("inf"), "floor_lr must be a finite number, got -inf"),
     ("floor_lr", False, "floor_lr must be a finite number, got False"),
     ("dtype", "float16", "dtype must be float64 or float32, got 'float16'"),
+    ("dtype", 32, "dtype must be a str, got 32"),
     ("balance", "gradnorm", "unknown balancing mode 'gradnorm'"),
 ])
 def test_invalid_run_options_cannot_be_built(field, value, message):
